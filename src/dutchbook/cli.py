@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import serialize
 from .consistency import (
     check_complete_consistency,
     check_forward_consistency,
     derive_beliefs,
-    extract_lcps,
+    require_valid_beliefs,
     validate_lcps,
 )
 from .cps import check_siniscalchi, cps_to_lcps, lcps_to_cps
@@ -63,8 +64,9 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_, *needs, **optional):
+    def cmd(name, handler, help_, *needs, **optional):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         for flag in needs:
             p.add_argument(flag, required=True)
         for flag, kw in optional.items():
@@ -72,30 +74,33 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="also write the JSON payload to this file")
         return p
 
-    cmd("validate", "validate an environment and optional beliefs or LCPS",
+    cmd("validate", _validate, "validate an environment and optional beliefs or LCPS",
         "--env", __beliefs={"required": False}, __lcps={"required": False})
-    cmd("check-forward", "forward-consistency check", "--env", "--beliefs")
-    cmd("check-complete", "complete-consistency check", "--env", "--beliefs")
-    cmd("extract-lcps", "extract the rationalizing LCPS", "--env", "--beliefs")
-    cmd("derive-beliefs", "derive beliefs from an LCPS", "--env", "--lcps")
-    cmd("to-cps", "expand an LCPS to a complete CPS", "--lcps",
+    cmd("check-forward", _check_forward, "forward-consistency check", "--env", "--beliefs")
+    cmd("check-complete", _check_complete, "complete-consistency check", "--env", "--beliefs")
+    cmd("extract-lcps", partial(_check_complete, certificate=False),
+        "extract the rationalizing LCPS", "--env", "--beliefs")
+    cmd("derive-beliefs", _derive_beliefs, "derive beliefs from an LCPS", "--env", "--lcps")
+    cmd("to-cps", _to_cps, "expand an LCPS to a complete CPS", "--lcps",
         __env={"required": False, "help": "fixes the state order"})
-    cmd("to-lcps", "collapse a complete CPS to an LCPS", "--cps")
-    cmd("check-siniscalchi", "generalized chain-rule check (uniform reach only)",
+    cmd("to-lcps", _to_lcps, "collapse a complete CPS to an LCPS", "--cps")
+    cmd("check-siniscalchi", _check_siniscalchi,
+        "generalized chain-rule check (uniform reach only)",
         "--env", "--beliefs", __max_len={"type": int, "default": None})
-    cmd("verify-book", "classify a gamble system as a Dutch book",
+    cmd("verify-book", partial(_verify, judge=_book_verdict),
+        "classify a gamble system as a Dutch book",
         "--env", "--book", __beliefs={"required": False})
-    cmd("verify-deterministic", "classify a gamble system path-by-path",
+    cmd("verify-deterministic", partial(_verify, judge=_deterministic_verdict),
+        "classify a gamble system path-by-path",
         "--env", "--book", __beliefs={"required": False})
-    cmd("synth-book", "construct a Dutch book against inconsistent beliefs",
-        "--env", "--beliefs")
+    cmd("synth-book", partial(_synth, synthesize=synthesize_dutch_book, judge=_book_verdict),
+        "construct a Dutch book against inconsistent beliefs", "--env", "--beliefs")
     cmd("synth-deterministic",
+        partial(_synth, synthesize=synthesize_deterministic_db, judge=_deterministic_verdict),
         "construct a deterministic Dutch book against forward-inconsistent beliefs",
         "--env", "--beliefs")
-    cmd("simulate", "Monte Carlo audit of a gamble system",
-        "--env", "--beliefs", "--book",
-        __rounds={"type": int, "required": True},
-        __seed={"type": int, "required": True},
+    cmd("simulate", _simulate, "Monte Carlo audit of a gamble system", "--env", "--beliefs",
+        "--book", __rounds={"type": int, "required": True}, __seed={"type": int, "required": True},
         __state={"required": False, "help": "fixed true state (default: uniform prior)"})
     return parser
 
@@ -116,174 +121,158 @@ def _load_beliefs(path: str):
     return serialize.beliefs_from_doc(serialize.load_file(path))
 
 
-def _run(args) -> tuple[int, dict]:
-    if args.command == "validate":
-        env = _load_env(args.env)
-        payload = {
-            "ok": True,
-            "states": len(env.states),
-            "contingencies": len(env.forest.nodes),
-            "uniformReach": is_uniform_reach(env),
-        }
-        if args.beliefs:
-            problems = validate_belief_system(env, _load_beliefs(args.beliefs))
-            if problems:
-                payload["ok"] = False
-                payload["problems"] = [
-                    {"contingency": h, "reason": reason} for h, reason in problems
-                ]
-        if args.lcps:
-            lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
-            try:
-                validate_lcps(lcps, env.states)
-            except InputError as exc:
-                payload["ok"] = False
-                payload.setdefault("problems", []).append(
-                    {"lcps": str(exc)}
-                )
-        return (EXIT_OK if payload["ok"] else EXIT_NEGATIVE), payload
+def _validate(args) -> tuple[int, dict]:
+    env = _load_env(args.env)
+    payload = {
+        "ok": True,
+        "states": len(env.states),
+        "contingencies": len(env.forest.nodes),
+        "uniformReach": is_uniform_reach(env),
+    }
+    if args.beliefs:
+        problems = validate_belief_system(env, _load_beliefs(args.beliefs))
+        if problems:
+            payload["ok"] = False
+            payload["problems"] = [{"contingency": h, "reason": why} for h, why in problems]
+    if args.lcps:
+        lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
+        try:
+            validate_lcps(lcps, env.states)
+        except InputError as exc:
+            payload["ok"] = False
+            payload.setdefault("problems", []).append({"lcps": str(exc)})
+    return (EXIT_OK if payload["ok"] else EXIT_NEGATIVE), payload
 
-    if args.command == "check-forward":
-        env = _load_env(args.env)
-        violation = check_forward_consistency(env, _load_beliefs(args.beliefs))
-        if violation is None:
-            return EXIT_OK, {"consistent": True}
-        return EXIT_NEGATIVE, {
-            "consistent": False,
-            "violation": serialize.forward_violation_to_doc(violation),
-        }
 
-    if args.command == "check-complete":
-        env = _load_env(args.env)
-        result = check_complete_consistency(env, _load_beliefs(args.beliefs))
-        if result.consistent:
-            return EXIT_OK, {
-                "consistent": True,
-                "lcps": serialize.lcps_to_doc(result.lcps, env.states),
-                "certificate": serialize.certificate_to_doc(
-                    result.certificate, env.states
-                ),
-            }
+def _check_forward(args) -> tuple[int, dict]:
+    env = _load_env(args.env)
+    violation = check_forward_consistency(env, _load_beliefs(args.beliefs))
+    if violation is None:
+        return EXIT_OK, {"consistent": True}
+    return EXIT_NEGATIVE, {
+        "consistent": False,
+        "violation": serialize.forward_violation_to_doc(violation),
+    }
+
+
+def _check_complete(args, certificate: bool = True) -> tuple[int, dict]:
+    """check-complete, or extract-lcps (certificate=False: the bare LCPS)."""
+    env = _load_env(args.env)
+    result = check_complete_consistency(env, _load_beliefs(args.beliefs))
+    if not result.consistent:
         return EXIT_NEGATIVE, {
             "consistent": False,
             "violation": serialize.violation_to_doc(result.violation),
         }
+    lcps = serialize.lcps_to_doc(result.lcps, env.states)
+    if not certificate:
+        return EXIT_OK, lcps
+    return EXIT_OK, {
+        "consistent": True,
+        "lcps": lcps,
+        "certificate": serialize.certificate_to_doc(result.certificate, env.states),
+    }
 
-    if args.command == "extract-lcps":
-        env = _load_env(args.env)
+
+def _derive_beliefs(args) -> tuple[int, dict]:
+    env = _load_env(args.env)
+    lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
+    return EXIT_OK, serialize.beliefs_to_doc(env, derive_beliefs(env, lcps))
+
+
+def _to_cps(args) -> tuple[int, dict]:
+    lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
+    if args.env:
+        states = _load_env(args.env).states
+    else:
+        states = tuple(dict.fromkeys(s for level in lcps.levels for s in level))
+    cps = lcps_to_cps(lcps, states)
+    return EXIT_OK, serialize.cps_to_doc(cps)
+
+
+def _to_lcps(args) -> tuple[int, dict]:
+    cps = serialize.cps_from_doc(serialize.load_file(args.cps))
+    lcps = cps_to_lcps(cps)
+    return EXIT_OK, serialize.lcps_to_doc(lcps, cps.states)
+
+
+def _check_siniscalchi(args) -> tuple[int, dict]:
+    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
+    require_valid_beliefs(env, mu)  # check_siniscalchi does not validate
+    violation = check_siniscalchi(env, mu, args.max_len)
+    if violation is None:
+        return EXIT_OK, {"ok": True}
+    return EXIT_NEGATIVE, {
+        "ok": False,
+        "violation": serialize.siniscalchi_violation_to_doc(violation),
+    }
+
+
+def _book_verdict(env, g) -> tuple[dict, bool]:
+    verdict = classify_dutch_book(env, g)
+    return serialize.book_verdict_to_doc(verdict, env.states), verdict.is_dutch_book
+
+
+def _deterministic_verdict(env, g) -> tuple[dict, bool]:
+    verdict = classify_deterministic(env, g)
+    return serialize.deterministic_verdict_to_doc(verdict, env), verdict.is_deterministic_db
+
+
+def _verify(args, judge) -> tuple[int, dict]:
+    env = _load_env(args.env)
+    g = serialize.gambles_from_doc(serialize.load_file(args.book))
+    payload, positive = judge(env, g)
+    if args.beliefs:
         mu = _load_beliefs(args.beliefs)
-        result = check_complete_consistency(env, mu)
-        if not result.consistent:
-            return EXIT_NEGATIVE, {
-                "consistent": False,
-                "violation": serialize.violation_to_doc(result.violation),
-            }
-        return EXIT_OK, serialize.lcps_to_doc(result.lcps, env.states)
-
-    if args.command == "derive-beliefs":
-        env = _load_env(args.env)
-        lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
-        mu = derive_beliefs(env, lcps)
-        return EXIT_OK, serialize.beliefs_to_doc(env, mu)
-
-    if args.command == "to-cps":
-        lcps = serialize.lcps_from_doc(serialize.load_file(args.lcps))
-        if args.env:
-            states = _load_env(args.env).states
-        else:
-            states = tuple(
-                dict.fromkeys(s for level in lcps.levels for s in level)
-            )
-        cps = lcps_to_cps(lcps, states)
-        return EXIT_OK, serialize.cps_to_doc(cps)
-
-    if args.command == "to-lcps":
-        cps = serialize.cps_from_doc(serialize.load_file(args.cps))
-        lcps = cps_to_lcps(cps)
-        return EXIT_OK, serialize.lcps_to_doc(lcps, cps.states)
-
-    if args.command == "check-siniscalchi":
-        env = _load_env(args.env)
-        violation = check_siniscalchi(env, _load_beliefs(args.beliefs), args.max_len)
-        if violation is None:
-            return EXIT_OK, {"ok": True}
-        return EXIT_NEGATIVE, {
-            "ok": False,
-            "violation": serialize.siniscalchi_violation_to_doc(violation),
-        }
-
-    if args.command in ("verify-book", "verify-deterministic"):
-        env = _load_env(args.env)
-        g = serialize.gambles_from_doc(serialize.load_file(args.book))
-        if args.command == "verify-book":
-            verdict = classify_dutch_book(env, g)
-            payload = serialize.book_verdict_to_doc(verdict, env.states)
-            positive = verdict.is_dutch_book
-        else:
-            verdict = classify_deterministic(env, g)
-            payload = serialize.deterministic_verdict_to_doc(verdict, env)
-            positive = verdict.is_deterministic_db
-        if args.beliefs:
-            report = accepts_system(env, _load_beliefs(args.beliefs), g)
-            payload["acceptance"] = serialize.acceptance_to_doc(report, env)
-            positive = positive and report.accepted
-        return (EXIT_OK if positive else EXIT_NEGATIVE), payload
-
-    if args.command in ("synth-book", "synth-deterministic"):
-        env = _load_env(args.env)
-        mu = _load_beliefs(args.beliefs)
-        synth = (
-            synthesize_dutch_book
-            if args.command == "synth-book"
-            else synthesize_deterministic_db
-        )
-        try:
-            g = synth(env, mu)
-        except UnsupportedEnvironment:
-            raise
-        except PreconditionViolation as exc:
-            return EXIT_NEGATIVE, {"synthesized": False, "reason": str(exc)}
-        # Re-verify before reporting success; the synthesizers already do,
-        # but the exit code must not rely on that.
+        require_valid_beliefs(env, mu)  # accepts_system does not validate
         report = accepts_system(env, mu, g)
-        payload = serialize.gambles_to_doc(env, g)
         payload["acceptance"] = serialize.acceptance_to_doc(report, env)
-        if args.command == "synth-book":
-            verdict = classify_dutch_book(env, g)
-            payload["verdict"] = serialize.book_verdict_to_doc(verdict, env.states)
-            positive = report.accepted and verdict.is_dutch_book
-        else:
-            verdict = classify_deterministic(env, g)
-            payload["verdict"] = serialize.deterministic_verdict_to_doc(verdict, env)
-            positive = report.accepted and verdict.is_deterministic_db
-        if not positive:
-            raise InternalError("synthesized gamble system failed re-verification")
-        return EXIT_OK, payload
+        positive = positive and report.accepted
+    return (EXIT_OK if positive else EXIT_NEGATIVE), payload
 
-    if args.command == "simulate":
-        env = _load_env(args.env)
-        mu = _load_beliefs(args.beliefs)
-        g = serialize.gambles_from_doc(serialize.load_file(args.book))
-        if args.state:
-            mode = FixedState(args.state)
-        else:
-            n = len(env.states)
-            mode = Prior({s: Fraction(1, n) for s in env.states})
-        report = run_rounds(env, mu, g, SimConfig(args.rounds, args.seed, mode))
-        payload = serialize.sim_report_to_doc(report, env.states)
-        deviations = compare_to_exact(report)
-        payload["deviations"] = {s: deviations[s] for s in env.states if s in deviations}
-        payload["flagged"] = flagged_states(deviations)
-        return EXIT_OK, payload
 
-    raise InternalError(f"unhandled command {args.command!r}")
+def _synth(args, synthesize, judge) -> tuple[int, dict]:
+    env = _load_env(args.env)
+    mu = _load_beliefs(args.beliefs)
+    try:
+        g = synthesize(env, mu)
+    except UnsupportedEnvironment:
+        raise
+    except PreconditionViolation as exc:
+        return EXIT_NEGATIVE, {"synthesized": False, "reason": str(exc)}
+    # Re-verify before reporting success; the synthesizers already do,
+    # but the exit code must not rely on that.
+    report = accepts_system(env, mu, g)
+    payload = serialize.gambles_to_doc(env, g)
+    payload["acceptance"] = serialize.acceptance_to_doc(report, env)
+    payload["verdict"], is_book = judge(env, g)
+    if not (report.accepted and is_book):
+        raise InternalError("synthesized gamble system failed re-verification")
+    return EXIT_OK, payload
+
+
+def _simulate(args) -> tuple[int, dict]:
+    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
+    require_valid_beliefs(env, mu)  # run_rounds does not validate
+    g = serialize.gambles_from_doc(serialize.load_file(args.book))
+    if args.state:
+        mode = FixedState(args.state)
+    else:
+        n = len(env.states)
+        mode = Prior({s: Fraction(1, n) for s in env.states})
+    report = run_rounds(env, mu, g, SimConfig(args.rounds, args.seed, mode))
+    payload = serialize.sim_report_to_doc(report, env.states)
+    deviations = compare_to_exact(report)
+    payload["deviations"] = {s: deviations[s] for s in env.states if s in deviations}
+    payload["flagged"] = flagged_states(deviations)
+    return EXIT_OK, payload
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, payload = _run(args)
+        code, payload = args.handler(args)
     except InputError as exc:
         _emit({"error": {"code": "input", "message": str(exc), "location": None}}, None)
         return EXIT_ERROR

@@ -94,7 +94,7 @@ def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
     return all(dist_equal(derived[h], mu.get(h, {})) for h in env.forest.nodes)
 
 
-def _require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:
+def require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:
     violations = validate_belief_system(env, mu)
     if violations:
         raise InputError(f"invalid belief system: {violations[:3]}")
@@ -106,7 +106,7 @@ def extract_lcps(env: LearningEnvironment, mu: BeliefSystem) -> Lcps:
     Levels follow the plausibility partition; within a level, masses are the
     certificate potentials (already normalized to sum 1 per level).
     """
-    _require_valid_beliefs(env, mu)
+    require_valid_beliefs(env, mu)
     outcome = check_coherence(build_coherence_graph(env, mu))
     if isinstance(outcome, CoherenceViolation):
         raise PreconditionViolation("belief system is not coherent")
@@ -124,7 +124,7 @@ def check_complete_consistency(
     env: LearningEnvironment, mu: BeliefSystem
 ) -> ConsistencyResult:
     """Decide consistency; certificate side returns a verified LCPS."""
-    _require_valid_beliefs(env, mu)
+    require_valid_beliefs(env, mu)
     outcome = check_coherence(build_coherence_graph(env, mu))
     if isinstance(outcome, CoherenceViolation):
         return ConsistencyResult(consistent=False, violation=outcome)
@@ -141,7 +141,7 @@ def check_forward_consistency(
 
     Returns the first violation in canonical (h, h', state) order.
     """
-    _require_valid_beliefs(env, mu)
+    require_valid_beliefs(env, mu)
     for h, hp in env.forest.comparable_pairs():
         shp = env.consistent_states[hp]
         event_mass = mass_of(mu[h], shp)

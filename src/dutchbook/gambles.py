@@ -2,7 +2,6 @@
 two constructive synthesizers."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -19,8 +18,6 @@ from .model import (
 )
 from .consistency import check_complete_consistency, check_forward_consistency
 from .odds import OddsLink
-
-log = logging.getLogger(__name__)
 
 # A gamble system maps each contingency to a state->payoff map (missing = 0).
 GambleSystem = dict[str, dict[str, Fraction]]
@@ -170,7 +167,16 @@ def synthesize_dutch_book(
     mu: BeliefSystem,
     params: SynthesisParams = SynthesisParams(),
 ) -> GambleSystem:
-    """Turn a coherence violation into a verified, accepted Dutch book."""
+    """Turn a coherence violation into a verified, accepted Dutch book.
+
+    Every book entry is affine in eps, so each state's objective expectation
+    is v0 + eps * slope: v0 from the book at eps = 0, the slope from one more
+    classification at eps = 1. The first eps of epsilon * shrink_factor^k
+    whose |S| values make a Dutch book is used, and the book built once.
+    Acceptance holds for every eps > 0: each cycle contingency's expectation
+    is a sum of eps * mu(s^m | h^m) terms, and mu(s^m | h^m) > 0 because the
+    oriented witness has no infinite link; other contingencies get no gamble.
+    """
     result = check_complete_consistency(env, mu)
     if result.consistent:
         raise PreconditionViolation("belief system is completely consistent")
@@ -183,20 +189,23 @@ def synthesize_dutch_book(
     r = ZERO
     if witness.product.is_finite:
         r = min(witness.product.value, 1 / witness.product.value)
-    limit = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO))
-    if limit.per_state[anchor] != -env.reach[h1][anchor] * (ONE - r):
+    v0 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO)).per_state
+    if v0[anchor] != -env.reach[h1][anchor] * (ONE - r):
         raise InternalError("telescoping identity failed on witness cycle")
+    v1 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ONE)).per_state
 
     eps = params.epsilon
     for _ in range(MAX_EPSILON_HALVINGS):
-        g = _expected_terms_book(env, mu, cycle, eps)
-        if (
-            accepts_system(env, mu, g).accepted
-            and classify_dutch_book(env, g).is_dutch_book
-        ):
-            return g
+        values = [v0[s] + eps * (v1[s] - v0[s]) for s in env.states]
+        if all(v <= 0 for v in values) and any(v < 0 for v in values):
+            break
         eps *= params.shrink_factor
-    raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+    else:
+        raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+    g = _expected_terms_book(env, mu, cycle, eps)
+    if not (accepts_system(env, mu, g).accepted and classify_dutch_book(env, g).is_dutch_book):
+        raise InternalError("telescoping book failed verification")
+    return g
 
 
 def _deterministic_witness_pair(
@@ -231,9 +240,18 @@ def synthesize_deterministic_db(
 ) -> GambleSystem:
     """Two-contingency deterministic Dutch book from a conditioning failure.
 
-    Requires deterministic continuation so that every path of a state in
-    S(h') that passes h also reaches h'.
+    Requires deterministic continuation, so every path of a state in S(h')
+    that passes h reaches h'. With odds x at h above y at h', the book is
+    g(.|h) = {s: 1, s': eps/3 - x}, g(.|h') = {s: -1 - d, s': y + eps/3}
+    for the first eps of epsilon, epsilon/2, ... below x - y.
+    Proof: the expectation at h is mu(s'|h)*eps/3 > 0, at h' it is
+    mu(s'|h')*(eps/3 - y*d), i.e. mu(s'|h')*eps*(1/3 - y^2/4) for the drag
+    d = y*eps/4; so d = y*eps/4 iff 3y^2 < 4 (no rational y has 3y^2 = 4),
+    else d = 0. Paths through h sum to -d <= 0 for s and to
+    y - x + 2*eps/3 < 0 for s' (one exists as mu(s'|h) > 0); others to 0.
     """
+    if epsilon is not None and epsilon <= 0:
+        raise DomainError("epsilon must be positive")
     if check_forward_consistency(env, mu) is None:
         raise PreconditionViolation("belief system is forward consistent")
     if not has_deterministic_continuation(env):
@@ -250,23 +268,15 @@ def synthesize_deterministic_db(
     h, hp, s, sp, x, y = found
 
     eps = epsilon if epsilon is not None else (x - y) / 2
-    warned = False
     for _ in range(MAX_EPSILON_HALVINGS):
         if eps < x - y:
-            for drag in (y * eps / 4, ZERO):
-                g: GambleSystem = {
-                    h: {s: ONE, sp: -x + eps / 3},
-                    hp: {s: -ONE - drag, sp: y + eps / 3},
-                }
-                if (
-                    accepts_system(env, mu, g).accepted
-                    and classify_deterministic(env, g).is_deterministic_db
-                ):
-                    return g
-                if drag != 0 and not warned:
-                    # The y*eps/4 drag term can break acceptance at h'
-                    # regardless of eps; fall back to a zero drag.
-                    log.warning("printed constants rejected at eps=%s; dropping drag term", eps)
-                    warned = True
+            break
         eps /= 2
-    raise InternalError("epsilon shrinking exhausted in deterministic synthesis")
+    else:
+        raise InternalError("epsilon shrinking exhausted in deterministic synthesis")
+    drag = y * eps / 4 if 3 * y * y < 4 else ZERO
+    g: GambleSystem = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}
+    verdict = classify_deterministic(env, g)
+    if not (accepts_system(env, mu, g).accepted and verdict.is_deterministic_db):
+        raise InternalError("deterministic book failed verification")
+    return g

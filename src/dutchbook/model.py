@@ -5,7 +5,9 @@ a verdict path ever touches floating point.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvalidEnvironment
@@ -22,6 +24,14 @@ BeliefSystem = dict[str, Distribution]
 def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
     """Total mass the distribution puts on the given keys."""
     return sum((dist.get(k, ZERO) for k in keys), ZERO)
+
+
+def _exact_sum(values: Iterable[Rational]) -> Fraction:
+    """Sum of rationals; numerators over a shared denominator add as ints."""
+    numerators: dict[int, int] = defaultdict(int)
+    for v in values:
+        numerators[v.denominator] += v.numerator
+    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
 def dist_equal(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> bool:
@@ -250,14 +260,17 @@ def validate_belief_system(
         if bad:
             violations.append((h, f"unknown states {bad}"))
             continue
-        if any(m < 0 for m in row.values()):
+        if not all(isinstance(m, Rational) for m in row.values()):
+            violations.append((h, "non-rational mass"))
+            continue
+        if any(m.numerator < 0 for m in row.values()):
             violations.append((h, "negative mass"))
             continue
-        total = sum(row.values(), ZERO)
+        total = _exact_sum(row.values())
         if total != ONE:
             violations.append((h, f"masses sum to {total}, not 1"))
             continue
-        on_support = mass_of(row, env.consistent_states[h])
-        if on_support != ONE:
-            violations.append((h, f"mass {ONE - on_support} outside S(h)"))
+        outside = [row[s] for s in row.keys() - set(env.consistent_states[h])]
+        if any(outside):
+            violations.append((h, f"mass {_exact_sum(outside)} outside S(h)"))
     return violations

@@ -235,3 +235,29 @@ class TestErrorHandling:
         )
         assert code == 2
         assert payload["error"]["code"] == "unsupported"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-siniscalchi", "--beliefs", "uniform.json"],
+            ["verify-book", "--book", "larry-book.json", "--beliefs", "regret.json"],
+            ["verify-deterministic", "--book", "larry-book.json", "--beliefs", "regret.json"],
+            ["simulate", "--beliefs", "regret.json", "--book", "larry-book.json",
+             "--rounds", "10", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_belief_row_is_input_error(self, capsys, tmp_path, argv):
+        # Commands whose library call skips belief validation must still
+        # report a malformed belief system as an input error, not crash.
+        at = argv.index("--beliefs") + 1
+        doc = json.loads((DATA / argv[at]).read_text())
+        del doc["beliefs"]["sm"]
+        (tmp_path / argv[at]).write_text(json.dumps(doc))
+        argv = [DATA / a if a.endswith(".json") else a for a in argv]
+        argv[at] = tmp_path / argv[at].name
+        code, payload = run(capsys, *argv, "--env", DATA / "larry.json")
+        assert code == 2
+        assert payload["error"]["code"] == "input"
+        assert payload["error"]["message"].startswith("invalid belief system: ")
+        assert "undefined belief" in payload["error"]["message"]

@@ -1,4 +1,4 @@
-import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +17,24 @@ from dutchbook import (
     synthesize_deterministic_db,
     synthesize_dutch_book,
 )
-from dutchbook.errors import DomainError, PreconditionViolation, UnsupportedEnvironment
+from dutchbook.errors import (
+    DomainError,
+    DutchbookError,
+    InternalError,
+    PreconditionViolation,
+    UnsupportedEnvironment,
+)
 from dutchbook import fixtures as fx
+from dutchbook.gambles import (
+    MAX_EPSILON_HALVINGS,
+    _deterministic_witness_pair,
+    _expected_terms_book,
+    _orient_cycle,
+)
+from dutchbook.model import ONE, ZERO, has_deterministic_continuation
 
-from conftest import accepted_gambles, inconsistent_beliefs
+from conftest import accepted_gambles, inconsistent_beliefs, perturbable, random_environment
+from test_acceptance import forward_inconsistent_beliefs, point_mass_tree_environment
 
 F = Fraction
 
@@ -190,20 +204,41 @@ class TestSynthesizeDeterministic:
         with pytest.raises(UnsupportedEnvironment):
             synthesize_deterministic_db(env, mu)
 
-    def test_drag_term_fallback(self, caplog):
-        # With y = 3/2 the printed drag constant makes the second gamble
-        # unacceptable for every epsilon; the zero-drag retry must kick in.
+    def test_drag_term_fallback(self):
+        # With y = 3/2, 3y^2 >= 4: the y*eps/4 drag would make the second
+        # gamble unacceptable for every epsilon, so the drag is zero.
         env = fx.nested_environment()
         mu = {
             "h0": {"A": F(1, 2), "B": F(1, 4), "C": F(1, 4)},
             "h1": {"A": F(3, 5), "B": F(2, 5)},
             "h2": {"C": F(1)},
         }
-        with caplog.at_level(logging.WARNING, logger="dutchbook.gambles"):
-            g = synthesize_deterministic_db(env, mu)
+        g = synthesize_deterministic_db(env, mu)
         assert classify_deterministic(env, g).is_deterministic_db
         assert accepts_system(env, mu, g).accepted
-        assert any("drag" in rec.message for rec in caplog.records)
+        assert g == {"h0": {"A": 1, "B": F(-23, 12)}, "h1": {"A": -1, "B": F(19, 12)}}
+
+    @pytest.mark.parametrize("y, kept", [(F(8, 7), True), (F(7, 6), False)])
+    def test_drag_kept_iff_three_y_squared_below_four(self, y, kept):
+        # 3y^2 is 192/49 < 4 for y = 8/7 and 49/12 > 4 for y = 7/6.
+        env = fx.nested_environment()
+        mu = {
+            "h0": {"A": F(1, 2), "B": F(1, 4), "C": F(1, 4)},
+            "h1": {"A": y / (1 + y), "B": 1 / (1 + y)},
+            "h2": {"C": F(1)},
+        }
+        eps = (2 - y) / 2  # x = 2 at h0
+        drag = y * eps / 4 if kept else 0
+        g = synthesize_deterministic_db(env, mu)
+        assert g == {"h0": {"A": 1, "B": eps / 3 - 2}, "h1": {"A": -1 - drag, "B": y + eps / 3}}
+        assert accepts_system(env, mu, g).accepted
+
+    @pytest.mark.parametrize("epsilon", [F(-1, 2), F(0)])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            synthesize_deterministic_db(
+                fx.nested_environment(), fx.drift_beliefs(), epsilon=epsilon
+            )
 
 
 class TestAcceptedGambleGenerator:
@@ -212,3 +247,112 @@ class TestAcceptedGambleGenerator:
         for _ in range(100):
             g = accepted_gambles(rng, env, mu)
             assert accepts_system(env, mu, g).accepted
+
+
+# Reference implementations: the epsilon-halving retry loops that the closed
+# forms replaced (less the warning logged when the drag term was dropped),
+# kept to check that the closed forms pick the same epsilon and book.
+
+def reference_synthesize_dutch_book(env, mu, params=SynthesisParams()):
+    result = check_complete_consistency(env, mu)
+    if result.consistent:
+        raise PreconditionViolation("belief system is completely consistent")
+    witness = result.violation
+    cycle = _orient_cycle(witness.cycle, witness.product)
+
+    anchor, h1 = cycle[0].src, cycle[0].h
+    r = ZERO
+    if witness.product.is_finite:
+        r = min(witness.product.value, 1 / witness.product.value)
+    limit = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO))
+    if limit.per_state[anchor] != -env.reach[h1][anchor] * (ONE - r):
+        raise InternalError("telescoping identity failed on witness cycle")
+
+    eps = params.epsilon
+    for _ in range(MAX_EPSILON_HALVINGS):
+        g = _expected_terms_book(env, mu, cycle, eps)
+        if (
+            accepts_system(env, mu, g).accepted
+            and classify_dutch_book(env, g).is_dutch_book
+        ):
+            return g
+        eps *= params.shrink_factor
+    raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+
+
+def reference_synthesize_deterministic_db(env, mu, epsilon=None):
+    if check_forward_consistency(env, mu) is None:
+        raise PreconditionViolation("belief system is forward consistent")
+    if not has_deterministic_continuation(env):
+        raise UnsupportedEnvironment(
+            "environment lacks deterministic continuation; the two-contingency "
+            "construction does not yield a deterministic Dutch book here"
+        )
+    found = _deterministic_witness_pair(env, mu)
+    if found is None:
+        raise PreconditionViolation(
+            "every violating orientation has an infinite odds ratio; "
+            "no finite witness pair available"
+        )
+    h, hp, s, sp, x, y = found
+
+    eps = epsilon if epsilon is not None else (x - y) / 2
+    for _ in range(MAX_EPSILON_HALVINGS):
+        if eps < x - y:
+            for drag in (y * eps / 4, ZERO):
+                g = {
+                    h: {s: ONE, sp: -x + eps / 3},
+                    hp: {s: -ONE - drag, sp: y + eps / 3},
+                }
+                if (
+                    accepts_system(env, mu, g).accepted
+                    and classify_deterministic(env, g).is_deterministic_db
+                ):
+                    return g
+        eps /= 2
+    raise InternalError("epsilon shrinking exhausted in deterministic synthesis")
+
+
+def outcome(synthesize, *args):
+    """The synthesized book, or the type of the error it raised."""
+    try:
+        return synthesize(*args)
+    except DutchbookError as exc:
+        return type(exc)
+
+
+class TestClosedFormsMatchReference:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SynthesisParams(),
+            SynthesisParams(F(1, 8), F(1, 4)),
+            SynthesisParams(F(3), F(2, 3)),
+            SynthesisParams(F(1, 1000), F(1, 2)),
+        ],
+        ids=["default", "1/8,1/4", "3,2/3", "1/1000,1/2"],
+    )
+    def test_synthesize_dutch_book(self, params):
+        rng, compared = random.Random(21), 0
+        while compared < 60:
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            if not perturbable(env):
+                continue
+            mu = inconsistent_beliefs(rng, env)
+            new = outcome(synthesize_dutch_book, env, mu, params)
+            assert new == outcome(reference_synthesize_dutch_book, env, mu, params)
+            compared += 1
+
+    @pytest.mark.parametrize(
+        "epsilon", [None, F(1, 2), F(3), F(1, 1000)], ids=["default", "1/2", "3", "1/1000"]
+    )
+    def test_synthesize_deterministic_db(self, epsilon):
+        rng, compared = random.Random(22), 0
+        while compared < 60:
+            env = point_mass_tree_environment(rng)
+            mu = forward_inconsistent_beliefs(rng, env)
+            if mu is None or not has_deterministic_continuation(env):
+                continue
+            new = outcome(synthesize_deterministic_db, env, mu, epsilon)
+            assert new == outcome(reference_synthesize_deterministic_db, env, mu, epsilon)
+            compared += 1

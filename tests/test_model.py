@@ -140,3 +140,15 @@ class TestBeliefValidation:
         mu = fx.regret_beliefs()
         mu["sm"] = {"sq": F(-1, 4), "ma": F(5, 4)}
         assert any(reason == "negative mass" for _, reason in validate_belief_system(env, mu))
+
+    def test_outside_mass_is_reported_exactly(self):
+        env = fx.larry_environment()
+        mu = fx.regret_beliefs()
+        mu["ps"] = {"pa": F(1, 6), "sq": F(1, 2), "ma": F(1, 3)}  # ma outside S(ps)
+        assert validate_belief_system(env, mu) == [("ps", "mass 1/3 outside S(h)")]
+
+    def test_float_mass_rejected(self):
+        env = fx.larry_environment()
+        mu = fx.regret_beliefs()
+        mu["sm"] = {"sq": 0.25, "ma": 0.75}
+        assert validate_belief_system(env, mu) == [("sm", "non-rational mass")]
