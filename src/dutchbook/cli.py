@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 = positive verdict or success, 1 = negative verdict
-(inconsistent / not a book / rejected), 2 = input or usage error. The payload
-on stdout is always a single JSON document; diagnostics go to stderr.
+(inconsistent / not a book / rejected), 2 = input, usage or internal error.
+The payload on stdout is always a single JSON document; diagnostics go to
+stderr.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from functools import partial
 
@@ -47,6 +49,12 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+
+# The first class an exception belongs to names its error code; any other
+# exception is a bug and reported as "internal". All of them exit 2.
+_ERROR_CODES = (
+    (InputError, "input"), (UnsupportedEnvironment, "unsupported"), (DutchbookError, "domain")
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,10 +115,13 @@ def _build_parser() -> _Parser:
 
 def _emit(payload: dict, out: str | None) -> None:
     text = serialize.dumps(payload)
-    sys.stdout.write(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}")
+    sys.stdout.write(text)
 
 
 def _load_env(path: str):
@@ -273,17 +284,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, payload = args.handler(args)
-    except InputError as exc:
-        _emit({"error": {"code": "input", "message": str(exc), "location": None}}, None)
+        _emit(payload, args.out)
+        return code
+    except Exception as exc:
+        kind = next((k for cls, k in _ERROR_CODES if isinstance(exc, cls)), "internal")
+        message = str(exc)
+        if kind == "internal":
+            traceback.print_exc(file=sys.stderr)
+            message = f"{type(exc).__name__}: {exc}"
+        _emit({"error": {"code": kind, "message": message, "location": None}}, None)
         return EXIT_ERROR
-    except UnsupportedEnvironment as exc:
-        _emit({"error": {"code": "unsupported", "message": str(exc), "location": None}}, None)
-        return EXIT_ERROR
-    except DutchbookError as exc:
-        _emit({"error": {"code": "domain", "message": str(exc), "location": None}}, None)
-        return EXIT_ERROR
-    _emit(payload, args.out)
-    return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 and forward-consistency checking."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 from .errors import InputError, InternalError, PreconditionViolation
 from .model import (
@@ -31,27 +33,40 @@ class Lcps:
 
     levels: tuple[Distribution, ...]
 
-    def level_for(self, states: tuple[str, ...] | frozenset[str]) -> int:
-        """Index of the first level putting positive mass on the event."""
+    @cached_property
+    def _first_level(self) -> dict[str, int]:
+        """Each state's first level with positive mass."""
+        first: dict[str, int] = {}
         for m, level in enumerate(self.levels):
-            if mass_of(level, states) > 0:
-                return m
-        raise InternalError(f"no level explains event {sorted(states)}")
+            for s, mass in level.items():
+                if mass > 0:
+                    first.setdefault(s, m)
+        return first
+
+    def level_for(self, states: tuple[str, ...] | frozenset[str]) -> int:
+        """Index of the first level putting positive mass on the event
+        (levels have no negative mass once `validate_lcps` passed)."""
+        hits = [self._first_level[s] for s in states if s in self._first_level]
+        if not hits:
+            raise InternalError(f"no level explains event {sorted(states)}")
+        return min(hits)
 
 
 def validate_lcps(lcps: Lcps, states: tuple[str, ...]) -> None:
     if not lcps.levels:
         raise InputError("LCPS has no levels")
+    known = set(states)
     for m, level in enumerate(lcps.levels):
-        bad = [s for s in level if s not in states]
+        bad = [s for s in level if s not in known]
         if bad:
             raise InputError(f"LCPS level {m} has unknown states {bad}")
         if any(mass < 0 for mass in level.values()):
             raise InputError(f"LCPS level {m} has negative mass")
         if sum(level.values(), ZERO) != ONE:
             raise InputError(f"LCPS level {m} does not sum to 1")
+    positive = Counter(s for level in lcps.levels for s, mass in level.items() if mass > 0)
     for s in states:
-        hits = sum(1 for level in lcps.levels if level.get(s, ZERO) > 0)
+        hits = positive[s]
         if hits != 1:
             raise InputError(f"state {s!r} is positive at {hits} levels, expected 1")
 
@@ -80,9 +95,9 @@ def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
     validate_lcps(lcps, env.states)
     beliefs: BeliefSystem = {}
     for h in env.forest.nodes:
-        sh = env.consistent_states[h]
-        level = lcps.levels[lcps.level_for(sh)]
-        weights = {s: env.reach[h][s] * level.get(s, ZERO) for s in sh}
+        reach = env.reach[h]
+        level = lcps.levels[lcps.level_for(env.consistent_states[h])]
+        weights = {s: p * level.get(s, ZERO) for s, p in reach.items()}
         total = sum(weights.values(), ZERO)
         beliefs[h] = {s: w / total for s, w in weights.items() if w > 0}
     return beliefs
@@ -142,6 +157,13 @@ def check_forward_consistency(
     Returns the first violation in canonical (h, h', state) order.
     """
     require_valid_beliefs(env, mu)
+    return next(forward_violations(env, mu), None)
+
+
+def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
+    """Each comparable pair (h, h') with mu(S(h')|h) > 0 whose mu(.|h') is not
+    mu(.|h) conditioned on S(h'), in canonical order, witnessed by its first
+    mismatching state. Beliefs are not validated."""
     for h, hp in env.forest.comparable_pairs():
         shp = env.consistent_states[hp]
         event_mass = mass_of(mu[h], shp)
@@ -151,5 +173,5 @@ def check_forward_consistency(
             lhs = mu[h].get(s, ZERO)
             rhs = mu[hp].get(s, ZERO) * event_mass
             if lhs != rhs:
-                return ForwardViolation(h, hp, s, lhs, rhs)
-    return None
+                yield ForwardViolation(h, hp, s, lhs, rhs)
+                break

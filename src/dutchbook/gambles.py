@@ -2,21 +2,20 @@
 two constructive synthesizers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping
 
 from .errors import DomainError, InternalError, PreconditionViolation, UnsupportedEnvironment
 from .model import (
     BeliefSystem,
-    Distribution,
     LearningEnvironment,
     ONE,
     ZERO,
     has_deterministic_continuation,
-    mass_of,
 )
-from .consistency import check_complete_consistency, check_forward_consistency
+from .consistency import check_complete_consistency, check_forward_consistency, forward_violations
 from .odds import OddsLink
 
 # A gamble system maps each contingency to a state->payoff map (missing = 0).
@@ -72,10 +71,11 @@ def is_willing_to_accept(nu: Mapping[str, Fraction], gamble: Mapping[str, Fracti
 def _check_supports(env: LearningEnvironment, g: GambleSystem) -> None:
     for h, gamble in g.items():
         env.forest.require_node(h)
-        allowed = set(env.consistent_states[h])
         for s, x in gamble.items():
             env.require_state(s)
-            if x != 0 and s not in allowed:
+            if not isinstance(x, Rational):
+                raise DomainError(f"gamble at {h!r} pays non-rational {x!r} on {s!r}")
+            if x != 0 and s not in env.reach[h]:
                 raise DomainError(f"gamble at {h!r} pays {x} on {s!r} outside S(h)")
 
 
@@ -96,10 +96,11 @@ def classify_dutch_book(env: LearningEnvironment, g: GambleSystem) -> BookVerdic
     """Objective expected payoff per state; a Dutch book never gains and
     sometimes loses."""
     _check_supports(env, g)
-    per_state = {
-        s: sum((env.reach[h][s] * g.get(h, {}).get(s, ZERO) for h in env.forest.nodes), ZERO)
-        for s in env.states
-    }
+    per_state = dict.fromkeys(env.states, ZERO)
+    for h, gamble in g.items():
+        for s, x in gamble.items():
+            if x:
+                per_state[s] += env.reach[h][s] * x
     values = per_state.values()
     return BookVerdict(per_state, all(v <= 0 for v in values) and any(v < 0 for v in values))
 
@@ -111,7 +112,7 @@ def classify_deterministic(env: LearningEnvironment, g: GambleSystem) -> Determi
     flat: list[Fraction] = []
     for s in env.states:
         per_path[s] = {}
-        for leaf in env.consistent_paths[s]:
+        for leaf in env.eta[s]:
             total = sum(
                 (g.get(h, {}).get(s, ZERO) for h in env.forest.chain[leaf]), ZERO
             )
@@ -213,13 +214,9 @@ def _deterministic_witness_pair(
 ) -> tuple[str, str, str, str, Fraction, Fraction] | None:
     """Find (h, h', s, s') with both odds finite and x = odds at h strictly
     above y = odds at h', scanning violating comparable pairs in order."""
-    for h, hp in env.forest.comparable_pairs():
+    for v in forward_violations(env, mu):
+        h, hp = v.h, v.h_prime
         shp = env.consistent_states[hp]
-        event_mass = mass_of(mu[h], shp)
-        if event_mass == 0:
-            continue
-        if all(mu[h].get(s, ZERO) == mu[hp].get(s, ZERO) * event_mass for s in shp):
-            continue
         for s in shp:
             for sp in shp:
                 if s == sp:

@@ -118,10 +118,12 @@ class ContingencyForest:
 
 
 class LearningEnvironment:
-    """States, forest, per-state path distributions, and derived reach tables.
+    """States, forest, and the two sparse tables everything else reads.
 
-    Built by `build_environment`; immutable after construction. Paths are
-    keyed by their leaf contingency.
+    Built by `build_environment`; immutable after construction. `eta[s]`
+    holds the positive path masses in forest order (its keys are L(s), paths
+    keyed by their leaf contingency); `reach[h]` holds p(h|s) > 0 in state
+    order (its keys are S(h)).
     """
 
     def __init__(
@@ -130,24 +132,17 @@ class LearningEnvironment:
         forest: ContingencyForest,
         eta: dict[str, Distribution],
         reach: dict[str, dict[str, Fraction]],
-        consistent_states: dict[str, tuple[str, ...]],
-        consistent_paths: dict[str, tuple[str, ...]],
     ):
         self.states = states
         self.forest = forest
         self.eta = eta
         self.reach = reach  # reach[h][s] = p(h|s)
-        self.consistent_states = consistent_states  # S(h)
-        self.consistent_paths = consistent_paths  # L(s), as leaf keys
+        self.consistent_states = {h: tuple(row) for h, row in reach.items()}  # S(h)
         self.state_index = {s: i for i, s in enumerate(states)}
 
     def require_state(self, s: str) -> None:
         if s not in self.state_index:
             raise DomainError(f"unknown state {s!r}")
-
-    def paths_through(self, h: str) -> tuple[str, ...]:
-        """Leaves of paths going through h, i.e. L(h)."""
-        return tuple(l for l in self.forest.leaves if h in self.forest.chain[l])
 
 
 def build_environment(
@@ -155,13 +150,12 @@ def build_environment(
     forest: ContingencyForest,
     eta: Mapping[str, Mapping[str, Fraction]],
 ) -> LearningEnvironment:
-    """Validate inputs and populate every derived table eagerly."""
+    """Validate inputs and build the sparse eta and reach tables."""
     if not states:
         raise InvalidEnvironment("state space is empty")
     if len(set(states)) != len(states):
         raise InvalidEnvironment("duplicate state identifiers")
     state_tuple = tuple(states)
-    leaf_set = set(forest.leaves)
 
     missing = [s for s in state_tuple if s not in eta]
     if missing:
@@ -170,76 +164,49 @@ def build_environment(
     if unknown:
         raise InvalidEnvironment(f"eta rows for unknown states {unknown}")
 
+    leaf_rank = {l: forest.index[l] for l in forest.leaves}
     eta_table: dict[str, Distribution] = {}
+    # States are walked in order, so every reach row comes out in state order.
+    reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
         row = {k: Fraction(v) for k, v in eta[s].items()}
-        bad = [k for k in row if k not in leaf_set]
+        bad = [k for k in row if k not in leaf_rank]
         if bad:
             raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
         check_distribution(row, f"eta[{s!r}]")
-        eta_table[s] = row
-
-    reach: dict[str, dict[str, Fraction]] = {
-        h: {s: ZERO for s in state_tuple} for h in forest.nodes
-    }
-    for s in state_tuple:
+        eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l] > 0}
         for leaf, mass in eta_table[s].items():
-            if mass == 0:
-                continue
             for h in forest.chain[leaf]:
-                reach[h][s] += mass
+                reach[h][s] = reach[h].get(s, ZERO) + mass
 
-    consistent_states: dict[str, tuple[str, ...]] = {}
     for h in forest.nodes:
-        sh = tuple(s for s in state_tuple if reach[h][s] > 0)
-        if not sh:
+        if not reach[h]:
             raise InvalidEnvironment(f"inconsistent contingency {h!r}: S(h) is empty")
-        consistent_states[h] = sh
-
-    consistent_paths = {
-        s: tuple(l for l in forest.leaves if eta_table[s].get(l, ZERO) > 0)
-        for s in state_tuple
-    }
-    return LearningEnvironment(
-        state_tuple, forest, eta_table, reach, consistent_states, consistent_paths
-    )
+    return LearningEnvironment(state_tuple, forest, eta_table, reach)
 
 
 def reach_probability(env: LearningEnvironment, h: str, s: str) -> Fraction:
     """p(h|s): probability that state s leads through contingency h."""
     env.forest.require_node(h)
     env.require_state(s)
-    return env.reach[h][s]
+    return env.reach[h].get(s, ZERO)
 
 
 def is_uniform_reach(env: LearningEnvironment) -> bool:
     """True iff every contingency is reached with one probability across S(h)."""
-    for h in env.forest.nodes:
-        values = {env.reach[h][s] for s in env.consistent_states[h]}
-        if len(values) > 1:
-            return False
-    return True
+    return all(len(set(row.values())) == 1 for row in env.reach.values())
 
 
 def has_deterministic_continuation(env: LearningEnvironment) -> bool:
     """True iff at every non-leaf h, each consistent state continues through
     a single child of h on all its paths."""
-    for h in env.forest.nodes:
-        kids = env.forest.children[h]
-        if not kids:
-            continue
-        child_of = {}
-        for c in kids:
-            for leaf in env.paths_through(c):
-                child_of[leaf] = c
-        for s in env.consistent_states[h]:
-            used = {
-                child_of[leaf]
-                for leaf in env.consistent_paths[s]
-                if h in env.forest.chain[leaf]
-            }
-            if len(used) > 1:
-                return False
+    for row in env.eta.values():
+        taken: dict[str, str] = {}  # h -> the child this state's paths take
+        for leaf in row:
+            chain = env.forest.chain[leaf]
+            for h, child in zip(chain, chain[1:]):
+                if taken.setdefault(h, child) != child:
+                    return False
     return True
 
 
@@ -270,7 +237,7 @@ def validate_belief_system(
         if total != ONE:
             violations.append((h, f"masses sum to {total}, not 1"))
             continue
-        outside = [row[s] for s in row.keys() - set(env.consistent_states[h])]
+        outside = [row[s] for s in row.keys() - env.reach[h].keys()]
         if any(outside):
             violations.append((h, f"mass {_exact_sum(outside)} outside S(h)"))
     return violations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
 from .model import BeliefSystem, LearningEnvironment, ZERO, ONE
@@ -120,8 +120,8 @@ def discounted_odds_ratio(
     env.forest.require_node(h)
     env.require_state(s)
     env.require_state(sp)
-    sh = env.consistent_states[h]
-    if s not in sh or sp not in sh:
+    reach = env.reach[h]
+    if s not in reach or sp not in reach:
         raise DomainError(f"states {s!r},{sp!r} must both be consistent with {h!r}")
     if s == sp:
         raise DomainError("discounted odds ratio requires distinct states")
@@ -133,7 +133,7 @@ def discounted_odds_ratio(
         return ExtendedRatio.zero()
     if b == 0:
         return ExtendedRatio.infinite()
-    return ExtendedRatio.finite(a / env.reach[h][s] * env.reach[h][sp] / b)
+    return ExtendedRatio.finite(a / reach[s] * reach[sp] / b)
 
 
 def generalized_odds_ratio(
@@ -261,7 +261,7 @@ class _Analysis:
                 return
             cond[ca].setdefault(cb, e)
 
-        cyc = self._condensation_cycle(cond)
+        cyc = _condensation_cycle(cond)
         if cyc is not None:
             links: list[OddsLink] = []
             for i, e in enumerate(cyc):
@@ -273,64 +273,16 @@ class _Analysis:
             self.violation = _make_violation(links)
             return
 
-        # Levels on the condensation DAG of zero edges.
-        memo: dict[int, int] = {}
-
-        def level(c: int) -> int:
-            if c not in memo:
-                succs = cond[c]
-                memo[c] = 1 if not succs else 1 + max(level(d) for d in succs)
-            return memo[c]
-
-        for c in range(comp):
-            self.comp_levels[c] = level(c)
-
-    def _condensation_cycle(self, cond: dict[int, dict[int, OddsLink]]) -> list[OddsLink] | None:
-        """Directed cycle of zero edges across components, or None."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {c: WHITE for c in cond}
-        stack: list[tuple[int, OddsLink]] = []
-
-        def dfs(c: int) -> list[OddsLink] | None:
-            color[c] = GRAY
-            for d in sorted(cond[c]):
-                if color[d] == GRAY:
-                    # unwind the stack back to d
-                    cyc = [cond[c][d]]
-                    for node, edge in reversed(stack):
-                        cyc.append(edge)
-                        if node == d:
-                            break
-                    return list(reversed(cyc))
-                if color[d] == WHITE:
-                    stack.append((c, cond[c][d]))
-                    found = dfs(d)
-                    stack.pop()
-                    if found:
-                        return found
-            color[c] = BLACK
-            return None
-
-        for c in sorted(cond):
-            if color[c] == WHITE:
-                found = dfs(c)
-                if found:
-                    return found
-        return None
+        self.comp_levels = _dag_levels(cond)
 
     def partition(self) -> PlausibilityPartition:
         if self.violation is not None:
             raise InternalError("plausibility levels requested on incoherent graph")
         n = max(self.comp_levels.values(), default=1)
-        levels = []
-        for m in range(1, n + 1):
-            members = tuple(
-                s
-                for s in self.graph.states
-                if self.comp_levels[self.component[s]] == m
-            )
-            levels.append(members)
-        return PlausibilityPartition(tuple(levels))
+        levels: list[list[str]] = [[] for _ in range(n)]
+        for s in self.graph.states:
+            levels[self.comp_levels[self.component[s]] - 1].append(s)
+        return PlausibilityPartition(tuple(tuple(members) for members in levels))
 
     def certificate(self) -> CoherenceCertificate:
         part = self.partition()
@@ -340,6 +292,63 @@ class _Analysis:
             for s in members:
                 potentials[s] = self.potential[s] / total
         return CoherenceCertificate(part, potentials)
+
+
+def _dag_levels(cond: dict[int, dict[int, OddsLink]]) -> dict[int, int]:
+    """Level of each node of an acyclic condensation: 1 with no successor,
+    else one more than its deepest successor. An explicit stack, as chains
+    can be long."""
+    levels: dict[int, int] = {}
+    for c in cond:
+        todo = [c]
+        while todo:
+            x = todo[-1]
+            pending = [d for d in cond[x] if d not in levels]
+            if pending:
+                todo.extend(pending)
+            else:
+                levels[x] = 1 + max((levels[d] for d in cond[x]), default=0)
+                todo.pop()
+    return levels
+
+
+def _condensation_cycle(cond: dict[int, dict[int, OddsLink]]) -> list[OddsLink] | None:
+    """Directed cycle of zero edges across components, or None.
+
+    Depth-first in sorted order, on an explicit stack of (component,
+    remaining successors) frames; `stack` holds the tree edge into each
+    frame but the first.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {c: WHITE for c in cond}
+    for root in sorted(cond):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        frames = [(root, iter(sorted(cond[root])))]
+        stack: list[tuple[int, OddsLink]] = []
+        while frames:
+            c, succs = frames[-1]
+            for d in succs:
+                if color[d] == GRAY:
+                    # unwind the stack back to d
+                    cyc = [cond[c][d]]
+                    for node, edge in reversed(stack):
+                        cyc.append(edge)
+                        if node == d:
+                            break
+                    return list(reversed(cyc))
+                if color[d] == WHITE:
+                    color[d] = GRAY
+                    stack.append((c, cond[c][d]))
+                    frames.append((d, iter(sorted(cond[d]))))
+                    break
+            else:
+                color[c] = BLACK
+                frames.pop()
+                if stack:
+                    stack.pop()
+    return None
 
 
 def _make_violation(cycle: list[OddsLink]) -> CoherenceViolation:

@@ -16,7 +16,6 @@ from .errors import InputError
 from .model import (
     BeliefSystem,
     ContingencyForest,
-    Distribution,
     LearningEnvironment,
     ZERO,
     build_environment,
@@ -33,7 +32,10 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 def parse_rational(text: Any, where: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"{where}: expected rational string 'p/q', got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # integers over sys.get_int_max_str_digits() digits
+        raise InputError(f"{where}: {exc}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -70,13 +72,18 @@ def environment_from_doc(doc: Any) -> LearningEnvironment:
     nodes, parent = [], {}
     for entry in entries:
         _require_keys(entry, {"id", "parent"}, {"id", "parent"}, "contingency entry")
+        if not isinstance(entry["id"], str):
+            raise InputError(f"contingency id: expected a string, got {entry['id']!r}")
+        if not isinstance(entry["parent"], (str, type(None))):
+            raise InputError(
+                f"contingency parent: expected a string or null, got {entry['parent']!r}"
+            )
         nodes.append(entry["id"])
         if entry["parent"] is not None:
             parent[entry["id"]] = entry["parent"]
-    eta = {
-        s: _rational_row(row, f"eta[{s!r}]")
-        for s, row in (doc["eta"] or {}).items()
-    }
+    if not isinstance(doc["eta"], dict):
+        raise InputError("environment.eta: expected an object")
+    eta = {s: _rational_row(row, f"eta[{s!r}]") for s, row in doc["eta"].items()}
     return build_environment(states, ContingencyForest(nodes, parent), eta)
 
 
@@ -87,11 +94,7 @@ def environment_to_doc(env: LearningEnvironment) -> dict:
             {"id": h, "parent": env.forest.parent.get(h)} for h in env.forest.nodes
         ],
         "eta": {
-            s: {
-                leaf: format_rational(env.eta[s][leaf])
-                for leaf in env.forest.leaves
-                if env.eta[s].get(leaf, ZERO) != 0
-            }
+            s: {leaf: format_rational(mass) for leaf, mass in env.eta[s].items()}
             for s in env.states
         },
     }
@@ -276,11 +279,7 @@ def deterministic_verdict_to_doc(
 ) -> dict:
     return {
         "perPath": {
-            s: {
-                leaf: format_rational(verdict.per_path[s][leaf])
-                for leaf in env.forest.leaves
-                if leaf in verdict.per_path[s]
-            }
+            s: {leaf: format_rational(v) for leaf, v in verdict.per_path[s].items()}
             for s in env.states
         },
         "isDeterministicDB": verdict.is_deterministic_db,

@@ -6,11 +6,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable
 
 from .errors import DomainError, InputError
-from .model import BeliefSystem, Distribution, LearningEnvironment, ONE, ZERO, check_distribution
-from .gambles import GambleSystem, _check_supports, is_willing_to_accept
+from .model import BeliefSystem, Distribution, LearningEnvironment, ZERO, check_distribution
+from .gambles import (
+    GambleSystem,
+    classify_deterministic,
+    classify_dutch_book,
+    is_willing_to_accept,
+)
 
 _U64 = 1 << 64
 
@@ -67,11 +72,10 @@ def _draw(rng: random.Random, cumulative: list[tuple[Fraction, str]]) -> str:
     return cumulative[-1][1]
 
 
-def _cumulative(dist: Mapping[str, Fraction], keys) -> list[tuple[Fraction, str]]:
+def _cumulative(masses: Iterable[tuple[str, Fraction]]) -> list[tuple[Fraction, str]]:
     acc = ZERO
     out = []
-    for k in keys:
-        mass = dist.get(k, ZERO)
+    for k, mass in masses:
         if mass > 0:
             acc += mass
             out.append((acc, k))
@@ -86,10 +90,11 @@ def run_rounds(
 ) -> SimReport:
     """Replay cfg.rounds rounds; per round, draw a state, draw a path from
     eta, and credit each accepted gamble along the path."""
-    _check_supports(env, g)
-    accepted = {
-        h: is_willing_to_accept(mu[h], g.get(h, {})) for h in env.forest.nodes
-    }
+    exact_ungated = classify_dutch_book(env, g).per_state
+    gated = {h: gamble for h, gamble in g.items() if is_willing_to_accept(mu[h], gamble)}
+    exact_gated = classify_dutch_book(env, gated).per_state
+    # The gated payoff along a path depends only on (state, leaf).
+    payoff = classify_deterministic(env, gated).per_path
 
     if isinstance(cfg.mode, FixedState):
         env.require_state(cfg.mode.state)
@@ -100,20 +105,10 @@ def run_rounds(
         for s in cfg.mode.distribution:
             env.require_state(s)
         tracked = tuple(s for s in env.states if cfg.mode.distribution.get(s, ZERO) > 0)
-        state_cum = _cumulative(cfg.mode.distribution, env.states)
+        state_cum = _cumulative((s, cfg.mode.distribution.get(s, ZERO)) for s in env.states)
 
-    path_cum = {s: _cumulative(env.eta[s], env.forest.leaves) for s in env.states}
-    # Gated payoff along a path depends only on (state, leaf); precompute.
-    payoff = {
-        s: {
-            leaf: sum(
-                (g.get(h, {}).get(s, ZERO) for h in env.forest.chain[leaf] if accepted[h]),
-                ZERO,
-            )
-            for leaf in env.consistent_paths[s]
-        }
-        for s in tracked
-    }
+    # eta rows are in forest order, so paths are drawn in forest order.
+    path_cum = {s: _cumulative(env.eta[s].items()) for s in env.states}
 
     counts = {s: 0 for s in tracked}
     sums = {s: ZERO for s in tracked}
@@ -130,14 +125,6 @@ def run_rounds(
     per_state: dict[str, StateStats] = {}
     for s in tracked:
         n = counts[s]
-        exact_gated = sum(
-            (env.reach[h][s] * g.get(h, {}).get(s, ZERO) for h in env.forest.nodes if accepted[h]),
-            ZERO,
-        )
-        exact_ungated = sum(
-            (env.reach[h][s] * g.get(h, {}).get(s, ZERO) for h in env.forest.nodes),
-            ZERO,
-        )
         mean_exact = sums[s] / n if n else ZERO
         mean = float(mean_exact)
         if n >= 2:
@@ -145,7 +132,7 @@ def run_rounds(
             std = math.sqrt(var)
         else:
             std = 0.0
-        per_state[s] = StateStats(n, mean, mean_exact, exact_gated, exact_ungated, std)
+        per_state[s] = StateStats(n, mean, mean_exact, exact_gated[s], exact_ungated[s], std)
     return SimReport(cfg.rounds, cfg.seed, per_state)
 
 

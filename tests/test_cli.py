@@ -261,3 +261,66 @@ class TestErrorHandling:
         assert payload["error"]["code"] == "input"
         assert payload["error"]["message"].startswith("invalid belief system: ")
         assert "undefined belief" in payload["error"]["message"]
+
+
+def _set_first_id(doc, value):
+    doc["contingencies"][0]["id"] = value
+
+
+def _set_parent(doc, value):
+    doc["contingencies"][3]["parent"] = value
+
+
+def _set_eta_mass(doc, value):
+    doc["eta"]["sq"]["sq"] = value
+
+
+class TestMalformedEnvironment:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: _set_first_id(d, ["sq"]), "contingency id: expected a string"),
+            (
+                lambda d: _set_parent(d, {"id": "sq"}),
+                "contingency parent: expected a string or null",
+            ),
+            (lambda d: _set_eta_mass(d, "1" + "0" * 4400), "eta['sq']['sq']: Exceeds the limit"),
+            (lambda d: d.update(eta=["sq"]), "environment.eta: expected an object"),
+        ],
+        ids=["list-id", "dict-parent", "4401-digit-mass", "list-eta"],
+    )
+    def test_is_input_error(self, capsys, tmp_path, mutate, message):
+        doc = json.loads((DATA / "larry.json").read_text())
+        mutate(doc)
+        (tmp_path / "env.json").write_text(json.dumps(doc))
+        code, payload = run(
+            capsys, "check-complete",
+            "--env", tmp_path / "env.json", "--beliefs", DATA / "regret.json",
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "input"
+        assert payload["error"]["message"].startswith(message)
+
+
+class TestUnexpectedFailures:
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        code, payload = run(
+            capsys, "validate", "--env", DATA / "larry.json",
+            "--out", tmp_path / "no-such-dir" / "out.json",
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "input"
+        assert payload["error"]["message"].startswith("cannot write ")
+
+    def test_any_other_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(path):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("dutchbook.cli._load_env", broken)
+        code = main(["validate", "--env", str(DATA / "larry.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {
+            "code": "internal", "message": "ZeroDivisionError: boom", "location": None
+        }
+        assert captured.err.startswith("Traceback")

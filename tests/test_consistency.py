@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dutchbook import (
+    ContingencyForest,
     Lcps,
+    build_environment,
     check_complete_consistency,
     check_forward_consistency,
     derive_beliefs,
@@ -118,6 +120,38 @@ class TestCompleteConsistency:
             result = check_complete_consistency(env, mu)
             assert result.consistent
             assert verify_ccbs(env, mu, result.lcps)
+
+
+def pair_chain(n, closed):
+    """n states and flat pair contingencies c_i = {s_i, s_i+1} (and, when
+    `closed`, c_n-1 = {s_n-1, s_0}); each mu(.|c_i) is certain of s_i+1."""
+    states = [f"s{i}" for i in range(n)]
+    m = n if closed else n - 1
+    eta = {s: {} for s in states}
+    for i in range(m):
+        for s in (states[i], states[(i + 1) % n]):
+            eta[s][f"c{i}"] = F(1)
+    eta = {s: {c: F(1, len(row)) for c in row} for s, row in eta.items()}
+    env = build_environment(states, ContingencyForest([f"c{i}" for i in range(m)], {}), eta)
+    mu = {f"c{i}": {states[(i + 1) % n]: F(1)} for i in range(m)}
+    return env, mu
+
+
+class TestDeepPlausibilityChains:
+    def test_open_chain_is_consistent_with_one_level_per_state(self):
+        env, mu = pair_chain(1200, closed=False)
+        result = check_complete_consistency(env, mu)
+        assert result.consistent
+        assert len(result.lcps.levels) == 1200
+        assert result.lcps.levels[0] == {"s1199": F(1)}
+        assert result.lcps.levels[-1] == {"s0": F(1)}
+
+    def test_closed_chain_is_a_zero_product_witness(self):
+        env, mu = pair_chain(1200, closed=True)
+        result = check_complete_consistency(env, mu)
+        assert not result.consistent
+        assert result.violation.product.is_zero
+        assert len(result.violation.cycle) == 1200
 
 
 class TestForwardConsistency:

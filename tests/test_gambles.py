@@ -5,6 +5,8 @@ import pytest
 
 from dutchbook import (
     ContingencyForest,
+    FixedState,
+    SimConfig,
     SynthesisParams,
     accepts_system,
     build_environment,
@@ -12,8 +14,11 @@ from dutchbook import (
     check_forward_consistency,
     classify_deterministic,
     classify_dutch_book,
+    derive_beliefs,
     expected_payoff,
     is_willing_to_accept,
+    reach_probability,
+    run_rounds,
     synthesize_deterministic_db,
     synthesize_dutch_book,
 )
@@ -33,7 +38,13 @@ from dutchbook.gambles import (
 )
 from dutchbook.model import ONE, ZERO, has_deterministic_continuation
 
-from conftest import accepted_gambles, inconsistent_beliefs, perturbable, random_environment
+from conftest import (
+    accepted_gambles,
+    inconsistent_beliefs,
+    perturbable,
+    random_environment,
+    random_lcps,
+)
 from test_acceptance import forward_inconsistent_beliefs, point_mass_tree_environment
 
 F = Fraction
@@ -76,6 +87,23 @@ class TestAcceptance:
         g = {"sm": {"pa": F(1)}}
         with pytest.raises(DomainError, match="outside S"):
             accepts_system(env, fx.regret_beliefs(), g)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda env, g: accepts_system(env, fx.regret_beliefs(), g),
+            classify_dutch_book,
+            classify_deterministic,
+            lambda env, g: run_rounds(
+                env, fx.regret_beliefs(), g, SimConfig(10, 1, FixedState("sq"))
+            ),
+        ],
+        ids=["accepts_system", "classify_dutch_book", "classify_deterministic", "run_rounds"],
+    )
+    def test_float_payoff_rejected(self, entry):
+        g = {"sm": {"sq": 0.5, "ma": -1.0}}
+        with pytest.raises(DomainError, match="non-rational 0.5 on 'sq'"):
+            entry(fx.larry_environment(), g)
 
 
 class TestClassifiers:
@@ -356,3 +384,41 @@ class TestClosedFormsMatchReference:
             new = outcome(synthesize_deterministic_db, env, mu, epsilon)
             assert new == outcome(reference_synthesize_deterministic_db, env, mu, epsilon)
             compared += 1
+
+
+# Reference implementation: the dense `classify_dutch_book`, which summed
+# p(h|s) * g(s|h) over every (h, s) pair, kept to check the sparse one.
+
+def reference_classify_dutch_book(env, g):
+    per_state = {
+        s: sum(
+            (reach_probability(env, h, s) * g.get(h, {}).get(s, ZERO) for h in env.forest.nodes),
+            ZERO,
+        )
+        for s in env.states
+    }
+    values = per_state.values()
+    return per_state, all(v <= 0 for v in values) and any(v < 0 for v in values)
+
+
+class TestSparseClassifierMatchesDenseReference:
+    def test_classify_dutch_book(self):
+        rng, books = random.Random(23), 0
+        for _ in range(150):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = (
+                inconsistent_beliefs(rng, env)
+                if perturbable(env) and rng.random() < 0.5
+                else derive_beliefs(env, random_lcps(rng, env.states))
+            )
+            g = accepted_gambles(rng, env, mu)
+            # Zero payoffs are allowed anywhere, outside S(h) too.
+            for h in rng.sample(env.forest.nodes, min(2, len(env.forest.nodes))):
+                g.setdefault(h, {})[rng.choice(env.states)] = ZERO
+            verdict = classify_dutch_book(env, g)
+            per_state, is_book = reference_classify_dutch_book(env, g)
+            assert verdict.per_state == per_state
+            assert list(verdict.per_state) == list(env.states)
+            assert verdict.is_dutch_book == is_book
+            books += is_book
+        assert books > 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from dutchbook import (
 from dutchbook.errors import DomainError, InvalidEnvironment
 from dutchbook import fixtures as fx
 
+from conftest import random_forest, weights
+
 F = Fraction
+ZERO = F(0)
 
 
 class TestForest:
@@ -152,3 +156,98 @@ class TestBeliefValidation:
         mu = fx.regret_beliefs()
         mu["sm"] = {"sq": 0.25, "ma": 0.75}
         assert validate_belief_system(env, mu) == [("sm", "non-rational mass")]
+
+
+# Reference implementations: the dense tables `build_environment` used to
+# store (reach zero-filled over every (h, s) pair, S(h) and L(s) rescanned
+# from it), and the `has_deterministic_continuation` that called
+# `paths_through` per child, kept to check the sparse tables against them.
+
+def reference_dense_tables(states, forest, eta):
+    eta_table = {s: {k: F(v) for k, v in eta[s].items()} for s in states}
+    reach = {h: {s: ZERO for s in states} for h in forest.nodes}
+    for s in states:
+        for leaf, mass in eta_table[s].items():
+            if mass == 0:
+                continue
+            for h in forest.chain[leaf]:
+                reach[h][s] += mass
+    consistent_states = {
+        h: tuple(s for s in states if reach[h][s] > 0) for h in forest.nodes
+    }
+    consistent_paths = {
+        s: tuple(l for l in forest.leaves if eta_table[s].get(l, ZERO) > 0) for s in states
+    }
+    return eta_table, reach, consistent_states, consistent_paths
+
+
+def reference_has_deterministic_continuation(forest, consistent_states, consistent_paths):
+    def paths_through(h):
+        return tuple(l for l in forest.leaves if h in forest.chain[l])
+
+    for h in forest.nodes:
+        kids = forest.children[h]
+        if not kids:
+            continue
+        child_of = {}
+        for c in kids:
+            for leaf in paths_through(c):
+                child_of[leaf] = c
+        for s in consistent_states[h]:
+            used = {child_of[leaf] for leaf in consistent_paths[s] if h in forest.chain[leaf]}
+            if len(used) > 1:
+                return False
+    return True
+
+
+def random_inputs(rng):
+    """States, a forest and an eta with 1-3 charged leaves per state, an
+    explicit zero mass on a random leaf unless it is charged, and keys in
+    shuffled order."""
+    forest = random_forest(rng, 8, chain_bias=0.8)
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    eta = {}
+    for s in states:
+        leaves = rng.sample(forest.leaves, min(len(forest.leaves), rng.randint(1, 3)))
+        row = {rng.choice(forest.leaves): ZERO, **weights(rng, leaves)}
+        items = list(row.items())
+        rng.shuffle(items)
+        eta[s] = dict(items)
+    return states, forest, eta
+
+
+class TestSparseTablesMatchDenseReference:
+    def test_tables_and_continuation(self):
+        rng = random.Random(31)
+        built = rejected = continuing = 0
+        while built < 300:
+            states, forest, eta = random_inputs(rng)
+            dense_eta, dense_reach, sh, ls = reference_dense_tables(states, forest, eta)
+            if not all(sh.values()):
+                rejected += 1
+                with pytest.raises(InvalidEnvironment, match="inconsistent contingency"):
+                    build_environment(states, forest, eta)
+                continue
+            env = build_environment(states, forest, eta)
+            built += 1
+            for s in states:
+                row = env.eta[s]
+                assert row == {l: m for l, m in dense_eta[s].items() if m > 0}
+                assert list(row) == [l for l in forest.leaves if l in row]
+                assert tuple(row) == ls[s]
+            for h in forest.nodes:
+                row = env.reach[h]
+                assert row == {s: p for s, p in dense_reach[h].items() if p > 0}
+                assert list(row) == [s for s in states if s in row]
+                assert env.consistent_states[h] == sh[h]
+                for s in states:
+                    assert reach_probability(env, h, s) == dense_reach[h][s]
+            assert all(m > 0 for row in env.eta.values() for m in row.values())
+            assert all(p > 0 for row in env.reach.values() for p in row.values())
+            uniform = all(len({dense_reach[h][s] for s in sh[h]}) == 1 for h in forest.nodes)
+            assert is_uniform_reach(env) == uniform
+            expected = reference_has_deterministic_continuation(forest, sh, ls)
+            assert has_deterministic_continuation(env) == expected
+            continuing += expected
+        assert rejected > 0
+        assert 30 < continuing < 270

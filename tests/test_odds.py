@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dutchbook import (
 )
 from dutchbook.errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
 from dutchbook import fixtures as fx
+from dutchbook.odds import _condensation_cycle, _dag_levels
 
 F = Fraction
 
@@ -193,3 +195,87 @@ class TestPlausibilityLevels:
         graph = build_coherence_graph(fx.larry_environment(), fx.regret_beliefs())
         with pytest.raises(InternalError):
             plausibility_levels(graph)
+
+
+# Reference implementations: the recursive condensation DFS and level memo
+# that the explicit-stack versions replaced, kept to check that they visit
+# in the same order and return the same witness and levels.
+
+def reference_condensation_cycle(cond):
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {c: WHITE for c in cond}
+    stack = []
+
+    def dfs(c):
+        color[c] = GRAY
+        for d in sorted(cond[c]):
+            if color[d] == GRAY:
+                cyc = [cond[c][d]]
+                for node, edge in reversed(stack):
+                    cyc.append(edge)
+                    if node == d:
+                        break
+                return list(reversed(cyc))
+            if color[d] == WHITE:
+                stack.append((c, cond[c][d]))
+                found = dfs(d)
+                stack.pop()
+                if found:
+                    return found
+        color[c] = BLACK
+        return None
+
+    for c in sorted(cond):
+        if color[c] == WHITE:
+            found = dfs(c)
+            if found:
+                return found
+    return None
+
+
+def reference_dag_levels(cond):
+    memo = {}
+
+    def level(c):
+        if c not in memo:
+            memo[c] = 1 if not cond[c] else 1 + max(level(d) for d in cond[c])
+        return memo[c]
+
+    return {c: level(c) for c in cond}
+
+
+def random_condensation(rng, acyclic):
+    """Random digraph on 1..9 nodes whose edge values name the edge; with
+    `acyclic`, edges only run from lower to higher node numbers."""
+    n = rng.randint(1, 9)
+    cond = {c: {} for c in range(n)}
+    for c in range(n):
+        for d in range(n):
+            if c != d and (d > c or not acyclic) and rng.random() < 0.3:
+                cond[c][d] = f"{c}->{d}"
+    return cond
+
+
+class TestCondensationWalks:
+    def test_cycle_matches_recursive_reference(self):
+        rng, cyclic = random.Random(41), 0
+        for _ in range(500):
+            cond = random_condensation(rng, acyclic=rng.random() < 0.3)
+            found = _condensation_cycle(cond)
+            assert found == reference_condensation_cycle(cond)
+            cyclic += found is not None
+        assert 100 < cyclic < 500
+
+    def test_levels_match_recursive_reference(self):
+        rng = random.Random(42)
+        for _ in range(500):
+            cond = random_condensation(rng, acyclic=True)
+            assert _dag_levels(cond) == reference_dag_levels(cond)
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 5000
+        chain = {c: ({c + 1: f"{c}->{c + 1}"} if c + 1 < n else {}) for c in range(n)}
+        assert _condensation_cycle(chain) is None
+        assert _dag_levels(chain)[0] == n
+        chain[n - 1] = {0: f"{n - 1}->0"}
+        assert len(_condensation_cycle(chain)) == n
