@@ -15,8 +15,8 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _exact_sum,
     dist_equal,
-    mass_of,
     validate_belief_system,
 )
 from .odds import (
@@ -155,23 +155,102 @@ def check_forward_consistency(
     """Conditioning criterion over all comparable pairs; None means consistent.
 
     Returns the first violation in canonical (h, h', state) order.
+
+    `forward_violations` decides this from the parent-child edges. Call an
+    edge a -> c ok when M(c) = mu(S(c)|a) > 0 and mu(s|a) = mu(s|c)*M(c) for
+    every s in S(c); zero when M(c) = 0; bad otherwise. For valid beliefs and
+    a descendant d of h, take the chain h = x0 -> x1 -> ... -> xk = d; every
+    S(x_j+1) is a subset of S(x_j).
+    - All edges ok: by induction on k, mu(s|h) = mu(s|d) * M(x1)...M(xk) on
+      S(d); summing over S(d), where mu(.|d) has all its mass, gives
+      mu(S(d)|h) = M(x1)...M(xk) > 0, so the pair (h, d) is consistent.
+    - The first non-ok edge x_j -> x_j+1 is zero: on S(x_j+1), mu(.|h) is
+      mu(.|x_j) scaled by M(x1)...M(xj), so mu(S(x_j+1)|h) = 0, and with
+      non-negative masses mu(S(d)|h) = 0: the pair is skipped.
+    - It is bad: with P = M(x1)...M(xj) > 0, mu(S(x_j+1)|h) = P * M(x_j+1) > 0
+      and, for s in S(x_j+1), mu(s|h) = mu(s|x_j+1) * mu(S(x_j+1)|h) iff
+      mu(s|x_j) = mu(s|x_j+1) * M(x_j+1). So (h, x_j+1) violates, first at
+      the edge's own first mismatching state; a pair (h, d) below x_j+1 is
+      decided by the explicit conditioning check.
+    Only pairs of the last kind can be yielded, so a system without bad
+    edges is consistent after one pass costing sum |S(c)| over the edges.
     """
     require_valid_beliefs(env, mu)
     return next(forward_violations(env, mu), None)
 
 
+def _pair_violation(
+    mu: BeliefSystem, h: str, hp: str, shp: tuple[str, ...]
+) -> ForwardViolation | None:
+    """The explicit conditioning check of mu(.|hp) against mu(.|h) on S(hp)."""
+    event_mass = _exact_sum(mu[h].get(s, ZERO) for s in shp)
+    if event_mass == 0:
+        return None
+    for s in shp:
+        lhs = mu[h].get(s, ZERO)
+        rhs = mu[hp].get(s, ZERO) * event_mass
+        if lhs != rhs:
+            return ForwardViolation(h, hp, s, lhs, rhs)
+    return None
+
+
 def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
     """Each comparable pair (h, h') with mu(S(h')|h) > 0 whose mu(.|h') is not
     mu(.|h) conditioned on S(h'), in canonical order, witnessed by its first
-    mismatching state. Beliefs are not validated."""
-    for h, hp in env.forest.comparable_pairs():
-        shp = env.consistent_states[hp]
-        event_mass = mass_of(mu[h], shp)
-        if event_mass == 0:
-            continue
-        for s in shp:
-            lhs = mu[h].get(s, ZERO)
-            rhs = mu[hp].get(s, ZERO) * event_mass
-            if lhs != rhs:
-                yield ForwardViolation(h, hp, s, lhs, rhs)
+    mismatching state. Beliefs must be valid; they are not validated here.
+
+    One pass classifies the parent-child edges; only the pairs whose first
+    non-ok edge is bad are then visited (see `check_forward_consistency`).
+    """
+    forest, states = env.forest, env.consistent_states
+    mass: dict[str, Fraction] = {}  # child c -> mu(S(c)|parent)
+    bad: dict[str, str] = {}  # child of a bad edge -> its first mismatching state
+    for c, a in forest.parent.items():
+        row_a, row_c = mu[a], mu[c]
+        m = mass[c] = _exact_sum(row_a.get(s, ZERO) for s in states[c])
+        if m:
+            p, q = m.numerator, m.denominator
+            for s in states[c]:
+                # mu(s|a) == mu(s|c) * m, cross-multiplied
+                x, y = row_a.get(s, ZERO), row_c.get(s, ZERO)
+                if x.numerator * y.denominator * q != y.numerator * p * x.denominator:
+                    bad[c] = s
+                    break
+    if not bad:
+        return
+
+    # Nodes with an all-ok path down to the parent of a bad edge.
+    hot: set[str] = set()
+    for c in bad:
+        a = forest.parent[c]
+        while a not in hot:
+            hot.add(a)
+            if a in bad or not mass.get(a):  # a root, or a bad or zero edge into a
                 break
+            a = forest.parent[a]
+
+    for h in forest.nodes:
+        if h not in hot:
+            continue
+        found: list[tuple[int, str, ForwardViolation | None]] = []  # None: check explicitly
+        stack = [(h, ONE)]  # (node, mu(S(node)|h)) along all-ok chains
+        while stack:
+            a, m = stack.pop()
+            for c in forest.children[a]:
+                if c in bad:
+                    s, mc = bad[c], m * mass[c]
+                    v = ForwardViolation(h, c, s, mu[h].get(s, ZERO), mu[c].get(s, ZERO) * mc)
+                    found.append((forest.index[c], c, v))
+                    below = list(forest.children[c])
+                    while below:
+                        d = below.pop()
+                        found.append((forest.index[d], d, None))
+                        below.extend(forest.children[d])
+                elif mass[c] and c in hot:
+                    stack.append((c, m * mass[c]))
+        found.sort(key=lambda item: item[0])
+        for _, d, v in found:
+            if v is None:
+                v = _pair_violation(mu, h, d, states[d])
+            if v is not None:
+                yield v

@@ -2,10 +2,11 @@
 two constructive synthesizers."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, InternalError, PreconditionViolation, UnsupportedEnvironment
 from .model import (
@@ -15,7 +16,12 @@ from .model import (
     ZERO,
     has_deterministic_continuation,
 )
-from .consistency import check_complete_consistency, check_forward_consistency, forward_violations
+from .consistency import (
+    ForwardViolation,
+    check_complete_consistency,
+    forward_violations,
+    require_valid_beliefs,
+)
 from .odds import OddsLink
 
 # A gamble system maps each contingency to a state->payoff map (missing = 0).
@@ -210,11 +216,16 @@ def synthesize_dutch_book(
 
 
 def _deterministic_witness_pair(
-    env: LearningEnvironment, mu: BeliefSystem
+    env: LearningEnvironment,
+    mu: BeliefSystem,
+    violations: Iterable[ForwardViolation] | None = None,
 ) -> tuple[str, str, str, str, Fraction, Fraction] | None:
     """Find (h, h', s, s') with both odds finite and x = odds at h strictly
-    above y = odds at h', scanning violating comparable pairs in order."""
-    for v in forward_violations(env, mu):
+    above y = odds at h', scanning violating comparable pairs in order
+    (`violations`, by default all of `forward_violations`)."""
+    if violations is None:
+        violations = forward_violations(env, mu)
+    for v in violations:
         h, hp = v.h, v.h_prime
         shp = env.consistent_states[hp]
         for s in shp:
@@ -249,14 +260,17 @@ def synthesize_deterministic_db(
     """
     if epsilon is not None and epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    if check_forward_consistency(env, mu) is None:
+    require_valid_beliefs(env, mu)
+    violations = forward_violations(env, mu)
+    first = next(violations, None)
+    if first is None:
         raise PreconditionViolation("belief system is forward consistent")
     if not has_deterministic_continuation(env):
         raise UnsupportedEnvironment(
             "environment lacks deterministic continuation; the two-contingency "
             "construction does not yield a deterministic Dutch book here"
         )
-    found = _deterministic_witness_pair(env, mu)
+    found = _deterministic_witness_pair(env, mu, itertools.chain([first], violations))
     if found is None:
         raise PreconditionViolation(
             "every violating orientation has an infinite odds ratio; "

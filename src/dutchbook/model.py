@@ -101,16 +101,15 @@ class ContingencyForest:
             chains[h] = tuple(reversed(rev))
         self.chain: dict[str, tuple[str, ...]] = chains
 
-    def is_proper_ancestor(self, h: str, hp: str) -> bool:
-        """True iff h strictly precedes hp (h in hp's chain, h != hp)."""
-        return h != hp and h in self.chain[hp]
-
     def comparable_pairs(self) -> Iterable[tuple[str, str]]:
         """All (h, h') with h a proper ancestor of h', in canonical order."""
+        below: dict[str, list[str]] = {h: [] for h in self.nodes}
+        for hp in self.nodes:  # node order, so each list is in node order
+            for h in self.chain[hp][:-1]:
+                below[h].append(hp)
         for h in self.nodes:
-            for hp in self.nodes:
-                if self.is_proper_ancestor(h, hp):
-                    yield h, hp
+            for hp in below[h]:
+                yield h, hp
 
     def require_node(self, h: str) -> None:
         if h not in self.index:
@@ -169,6 +168,9 @@ def build_environment(
     # States are walked in order, so every reach row comes out in state order.
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
+        for k, v in eta[s].items():
+            if not isinstance(v, Rational):
+                raise InvalidEnvironment(f"eta[{s!r}]: non-rational mass at {k!r}")
         row = {k: Fraction(v) for k, v in eta[s].items()}
         bad = [k for k in row if k not in leaf_rank]
         if bad:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from dutchbook import (
     validate_lcps,
     verify_ccbs,
 )
-from dutchbook.errors import InputError, PreconditionViolation
+from dutchbook.consistency import ForwardViolation, forward_violations
+from dutchbook.errors import InputError, InvalidEnvironment, PreconditionViolation
+from dutchbook.model import ZERO, mass_of
 from dutchbook import fixtures as fx
 
-from conftest import random_environment, random_lcps
+from conftest import random_environment, random_lcps, weights
 
 F = Fraction
 
@@ -177,3 +180,139 @@ class TestForwardConsistency:
     def test_flat_forest_is_vacuous(self):
         # No comparable pairs at all: even regret beliefs pass.
         assert check_forward_consistency(fx.larry_environment(), fx.regret_beliefs()) is None
+
+
+# Reference implementation: the all-pairs scan that the edge pass replaced,
+# which checked every (h, h') with h a proper ancestor of h' in node order.
+
+def reference_forward_violations(env, mu):
+    nodes, chain = env.forest.nodes, env.forest.chain
+    for h in nodes:
+        for hp in nodes:
+            if h == hp or h not in chain[hp]:
+                continue
+            shp = env.consistent_states[hp]
+            event_mass = mass_of(mu[h], shp)
+            if event_mass == 0:
+                continue
+            for s in shp:
+                lhs = mu[h].get(s, ZERO)
+                rhs = mu[hp].get(s, ZERO) * event_mass
+                if lhs != rhs:
+                    yield ForwardViolation(h, hp, s, lhs, rhs)
+                    break
+
+
+def shuffled_forest_environment(rng):
+    """Random environment on a forest (often multi-rooted) whose node list is
+    shuffled, so a child may be listed before its parent."""
+    while True:
+        n = rng.randint(2, 12)
+        order = [f"h{i}" for i in range(n)]
+        parent = {}
+        for i in range(1, n):
+            if rng.random() < 0.85:
+                parent[order[i]] = order[rng.randrange(i)]
+        nodes = order[:]
+        rng.shuffle(nodes)
+        forest = ContingencyForest(nodes, parent)
+        states = [f"s{i}" for i in range(rng.randint(2, 6))]
+        eta = {s: weights(rng, forest.leaves) for s in states}
+        try:
+            return build_environment(states, forest, eta)
+        except InvalidEnvironment:
+            continue
+
+
+def lexicographic_filtration(env, lcps):
+    """Condition the first LCPS level with mass on S(h) on S(h), everywhere:
+    forward consistent by construction, with mu(S(c)|parent) = 0 wherever the
+    child c is first explained by a later level than its parent."""
+    mu = {}
+    for h in env.forest.nodes:
+        sh = env.consistent_states[h]
+        level = lcps.levels[lcps.level_for(sh)]
+        total = mass_of(level, sh)
+        mu[h] = {s: level[s] / total for s in sh if s in level}
+    return mu
+
+
+def edge_kind(env, mu, c):
+    """'zero', 'bad' or 'ok' for the edge into the non-root c, by the reference
+    check of the pair (parent, c)."""
+    a = env.forest.parent[c]
+    if mass_of(mu[a], env.consistent_states[c]) == 0:
+        return "zero"
+    pair_fails = any(v.h_prime == c for v in reference_forward_violations(env, mu) if v.h == a)
+    return "bad" if pair_fails else "ok"
+
+
+class TestEdgeCriterionMatchesAllPairs:
+    def test_full_sequences_on_seeded_forests(self):
+        rng = random.Random(0xF0)
+        seen = dict.fromkeys(
+            ["multi_root", "child_first", "zero_edge", "zero_above_bad", "agreeing_grandchild",
+             "several_violations"], 0
+        )
+        for _ in range(400):
+            env = shuffled_forest_environment(rng)
+            forest = env.forest
+            mu = lexicographic_filtration(env, random_lcps(rng, env.states))
+            for h in rng.sample(forest.nodes, rng.randint(2, min(3, len(forest.nodes)))):
+                mu[h] = weights(rng, env.consistent_states[h])
+            got = list(forward_violations(env, mu))
+            assert got == list(reference_forward_violations(env, mu))
+            assert check_forward_consistency(env, mu) == (got[0] if got else None)
+
+            kind = {c: edge_kind(env, mu, c) for c in forest.parent}
+            consistent_pairs = {
+                (h, hp)
+                for h, hp in forest.comparable_pairs()
+                if mass_of(mu[h], env.consistent_states[hp]) > 0
+            } - {(v.h, v.h_prime) for v in got}
+            seen["multi_root"] += len(forest.roots) > 1
+            seen["child_first"] += any(
+                forest.index[c] < forest.index[a] for c, a in forest.parent.items()
+            )
+            seen["zero_edge"] += "zero" in kind.values()
+            seen["zero_above_bad"] += any(
+                kind[c] == "bad" and any(kind.get(a) == "zero" for a in forest.chain[c][1:-1])
+                for c in forest.parent
+            )
+            seen["agreeing_grandchild"] += any(
+                kind[p] == "bad" and (forest.parent[p], c) in consistent_pairs
+                for p in forest.parent
+                for c in forest.children[p]
+            )
+            seen["several_violations"] += len(got) > 1
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_consistent_beliefs_yield_nothing(self):
+        rng = random.Random(0xF1)
+        for _ in range(100):
+            env = shuffled_forest_environment(rng)
+            mu = lexicographic_filtration(env, random_lcps(rng, env.states))
+            assert list(forward_violations(env, mu)) == []
+
+    def test_deep_caterpillar_with_filtration_beliefs(self):
+        # Spine c0 -> ... -> c499 with a leaf l_i hanging off each c_i: 999
+        # contingencies, one state per leaf, sum |S(h)| about 125k.
+        depth = 500
+        nodes, parent = ["c0"], {}
+        for i in range(1, depth):
+            nodes += [f"c{i}", f"l{i - 1}"]
+            parent[f"c{i}"] = parent[f"l{i - 1}"] = f"c{i - 1}"
+        forest = ContingencyForest(nodes, parent)
+        states = [f"s_{leaf}" for leaf in forest.leaves]
+        env = build_environment(
+            states, forest, {s: {leaf: F(1)} for s, leaf in zip(states, forest.leaves)}
+        )
+        prior = weights(random.Random(0xF2), env.states, max_denom=2 * depth, full_support=True)
+        mu = {}
+        for h in forest.nodes:
+            sh = env.consistent_states[h]
+            total = mass_of(prior, sh)
+            mu[h] = {s: prior[s] / total for s in sh}
+        started = time.perf_counter()
+        assert check_forward_consistency(env, mu) is None
+        assert time.perf_counter() - started < 10.0

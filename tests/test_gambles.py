@@ -22,9 +22,12 @@ from dutchbook import (
     synthesize_deterministic_db,
     synthesize_dutch_book,
 )
+from dutchbook import consistency, gambles
+from dutchbook.consistency import forward_violations
 from dutchbook.errors import (
     DomainError,
     DutchbookError,
+    InputError,
     InternalError,
     PreconditionViolation,
     UnsupportedEnvironment,
@@ -260,6 +263,51 @@ class TestSynthesizeDeterministic:
         g = synthesize_deterministic_db(env, mu)
         assert g == {"h0": {"A": 1, "B": eps / 3 - 2}, "h1": {"A": -1 - drag, "B": y + eps / 3}}
         assert accepts_system(env, mu, g).accepted
+
+    def test_witness_pair_found_past_the_first_violation(self):
+        # The first violating pair (h0, h1) has no finite odds ratio above
+        # its counterpart (B is null at h0); the second, (h0, h2), has.
+        forest = ContingencyForest(["h0", "h1", "h2"], {"h1": "h0", "h2": "h0"})
+        env = build_environment(
+            ["A", "B", "C", "D"], forest, {s: {"h1" if s in "AB" else "h2": F(1)} for s in "ABCD"}
+        )
+        mu = {
+            "h0": {"A": F(1, 3), "C": F(1, 3), "D": F(1, 3)},
+            "h1": {"A": F(1, 2), "B": F(1, 2)},
+            "h2": {"C": F(1, 4), "D": F(3, 4)},
+        }
+        assert check_forward_consistency(env, mu).h_prime == "h1"
+        assert _deterministic_witness_pair(env, mu) == ("h0", "h2", "C", "D", F(1), F(1, 3))
+        g = synthesize_deterministic_db(env, mu)
+        assert set(g) == {"h0", "h2"}
+        assert classify_deterministic(env, g).is_deterministic_db
+        assert accepts_system(env, mu, g).accepted
+
+    def test_scans_forward_violations_once(self, monkeypatch):
+        scans = []
+
+        def counting(env, mu):
+            scans.append(1)
+            return forward_violations(env, mu)
+
+        for module in (gambles, consistency):
+            monkeypatch.setattr(module, "forward_violations", counting)
+        synthesize_deterministic_db(fx.nested_environment(), fx.drift_beliefs())
+        assert len(scans) == 1
+
+    def test_error_order(self):
+        # Beliefs are validated first, then forward consistency, then
+        # deterministic continuation.
+        forest = ContingencyForest(["h0", "h1", "h2"], {"h1": "h0", "h2": "h0"})
+        env = build_environment(
+            ["A", "B"], forest, {s: {"h1": F(1, 2), "h2": F(1, 2)} for s in "AB"}
+        )
+        assert not has_deterministic_continuation(env)
+        half = {"A": F(1, 2), "B": F(1, 2)}
+        with pytest.raises(InputError, match="invalid belief system"):
+            synthesize_deterministic_db(env, {"h0": half, "h1": half})
+        with pytest.raises(PreconditionViolation, match="forward consistent"):
+            synthesize_deterministic_db(env, {"h0": half, "h1": half, "h2": half})
 
     @pytest.mark.parametrize("epsilon", [F(-1, 2), F(0)])
     def test_non_positive_epsilon_rejected(self, epsilon):

@@ -36,6 +36,19 @@ class TestForest:
         forest = ContingencyForest(["a", "b", "c"], {"b": "a", "c": "a"})
         assert list(forest.comparable_pairs()) == [("a", "b"), ("a", "c")]
 
+    def test_comparable_pairs_match_all_pairs_order(self):
+        # Shuffled node lists, so children are often listed before parents.
+        rng = random.Random(30)
+        for _ in range(200):
+            forest = random_forest(rng, 12, chain_bias=0.8)
+            nodes = list(forest.nodes)
+            rng.shuffle(nodes)
+            forest = ContingencyForest(nodes, forest.parent)
+            expected = [
+                (h, hp) for h in nodes for hp in nodes if h != hp and h in forest.chain[hp]
+            ]
+            assert list(forest.comparable_pairs()) == expected
+
     def test_rejects_cycle(self):
         with pytest.raises(InvalidEnvironment, match="cycle"):
             ContingencyForest(["a", "b"], {"a": "b", "b": "a"})
@@ -85,6 +98,17 @@ class TestEnvironment:
             build_environment(["s"], forest, {"s": {"a": F(1, 2)}})
         with pytest.raises(InvalidEnvironment):
             build_environment(["s"], forest, {})
+
+    @pytest.mark.parametrize(
+        "row",
+        [{"a": 0.5, "b": 0.25, "c": 0.25}, {"a": 0.1, "b": 0.2, "c": 0.7}],
+        ids=["dyadic", "inexact"],
+    )
+    def test_rejects_float_eta(self, row):
+        # 0.1 + 0.2 + 0.7 is not 1 in binary floating point; 0.5 + 0.25 + 0.25 is.
+        forest = ContingencyForest(["a", "b", "c"], {})
+        with pytest.raises(InvalidEnvironment, match=r"eta\['s'\]: non-rational mass at 'a'"):
+            build_environment(["s"], forest, {"s": row})
 
     def test_eta_only_on_leaves(self):
         forest = ContingencyForest(["r", "l"], {"l": "r"})
