@@ -116,34 +116,27 @@ def require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:
 
 
 def extract_lcps(env: LearningEnvironment, mu: BeliefSystem) -> Lcps:
-    """Build the rationalizing LCPS from a coherence certificate.
-
-    Levels follow the plausibility partition; within a level, masses are the
-    certificate potentials (already normalized to sum 1 per level).
-    """
-    require_valid_beliefs(env, mu)
-    outcome = check_coherence(build_coherence_graph(env, mu))
-    if isinstance(outcome, CoherenceViolation):
+    """The verified rationalizing LCPS of `check_complete_consistency`."""
+    result = check_complete_consistency(env, mu)
+    if not result.consistent:
         raise PreconditionViolation("belief system is not coherent")
-    return _lcps_from_certificate(outcome)
-
-
-def _lcps_from_certificate(cert: CoherenceCertificate) -> Lcps:
-    levels = tuple(
-        {s: cert.potentials[s] for s in members} for members in cert.partition.levels
-    )
-    return Lcps(levels)
+    return result.lcps
 
 
 def check_complete_consistency(
     env: LearningEnvironment, mu: BeliefSystem
 ) -> ConsistencyResult:
-    """Decide consistency; certificate side returns a verified LCPS."""
+    """Decide consistency; certificate side returns a verified LCPS.
+
+    Its levels follow the plausibility partition; within a level, masses are
+    the certificate potentials (already normalized to sum 1 per level).
+    """
     require_valid_beliefs(env, mu)
     outcome = check_coherence(build_coherence_graph(env, mu))
     if isinstance(outcome, CoherenceViolation):
         return ConsistencyResult(consistent=False, violation=outcome)
-    lcps = _lcps_from_certificate(outcome)
+    levels = outcome.partition.levels
+    lcps = Lcps(tuple({s: outcome.potentials[s] for s in members} for members in levels))
     if not verify_ccbs(env, mu, lcps):
         raise InternalError("extracted LCPS does not reproduce the belief system")
     return ConsistencyResult(consistent=True, lcps=lcps, certificate=outcome)

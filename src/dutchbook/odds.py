@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
 from .model import BeliefSystem, LearningEnvironment, ZERO, ONE
@@ -68,14 +69,14 @@ class ExtendedRatio:
         return ExtendedRatio.finite(self.value * other.value)
 
 
-@dataclass(frozen=True)
-class OddsLink:
-    """One discounted odds ratio o(src, dst | h)."""
+class OddsLink(NamedTuple):
+    """One discounted odds ratio o(src, dst | h). A link read back from a
+    stored witness has no value; re-evaluation recomputes it."""
 
     h: str
     src: str
     dst: str
-    value: ExtendedRatio
+    value: ExtendedRatio | None = None
 
     def reversed(self) -> "OddsLink":
         return OddsLink(self.h, self.dst, self.src, self.value.inverse())
@@ -86,10 +87,23 @@ OddsChain = Sequence[OddsLink]
 
 @dataclass
 class CoherenceGraph:
-    """All defined discounted odds ratios, both orientations."""
+    """The weight row w(s|h) = mu(s|h)/p(h|s) over S(h), in state order, of
+    every contingency h: each discounted odds ratio at h is w(s|h)/w(s'|h)."""
 
     states: tuple[str, ...]
-    edges: list[OddsLink]
+    weights: dict[str, dict[str, Fraction]]
+
+    @cached_property
+    def edges(self) -> list[OddsLink]:
+        """Every defined discounted odds ratio, both orientations, in
+        (h, src, dst) order; indeterminate (0/0) pairs are omitted."""
+        return [
+            OddsLink(h, s, sp, _ratio(a, b))
+            for h, row in self.weights.items()
+            for s, a in row.items()
+            for sp, b in row.items()
+            if s != sp and (a or b)
+        ]
 
 
 @dataclass(frozen=True)
@@ -113,6 +127,15 @@ class CoherenceViolation:
     product: ExtendedRatio
 
 
+def _ratio(a: Fraction, b: Fraction) -> ExtendedRatio:
+    """a/b over the extended ratios; a and b are not both zero."""
+    if a == 0:
+        return ExtendedRatio.zero()
+    if b == 0:
+        return ExtendedRatio.infinite()
+    return ExtendedRatio.finite(a / b)
+
+
 def discounted_odds_ratio(
     env: LearningEnvironment, mu: BeliefSystem, h: str, s: str, sp: str
 ) -> ExtendedRatio:
@@ -129,11 +152,7 @@ def discounted_odds_ratio(
     b = mu[h].get(sp, ZERO)
     if a == 0 and b == 0:
         raise IndeterminateRatio(f"both beliefs zero at {h!r} for {s!r},{sp!r}")
-    if a == 0:
-        return ExtendedRatio.zero()
-    if b == 0:
-        return ExtendedRatio.infinite()
-    return ExtendedRatio.finite(a / reach[s] * reach[sp] / b)
+    return _ratio(a / reach[s], b / reach[sp])
 
 
 def generalized_odds_ratio(
@@ -142,15 +161,14 @@ def generalized_odds_ratio(
     """Product of a concatenation of discounted odds ratios.
 
     Link values are recomputed from (env, mu), so this doubles as the
-    re-evaluation oracle for stored witnesses.
+    re-evaluation oracle for stored witnesses; a link may be any
+    (h, src, dst, ...) tuple.
     """
     if not chain:
         raise DomainError("empty odds chain")
     product = ExtendedRatio.finite(ONE)
     prev_dst = None
-    for link in chain:
-        # Accept bare (h, src, dst) triples alongside OddsLink values.
-        h, src, dst = (link.h, link.src, link.dst) if isinstance(link, OddsLink) else link
+    for h, src, dst, *_ in chain:
         if prev_dst is not None and prev_dst != src:
             raise DomainError(f"chain breaks between {prev_dst!r} and {src!r}")
         product = product * discounted_odds_ratio(env, mu, h, src, dst)
@@ -159,23 +177,24 @@ def generalized_odds_ratio(
 
 
 def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> CoherenceGraph:
-    """Materialize every defined DOR; indeterminate (0/0) pairs are omitted."""
-    edges: list[OddsLink] = []
+    """The weight row of every contingency, at a cost of sum |S(h)|."""
+    weights = {}
     for h in env.forest.nodes:
-        sh = env.consistent_states[h]
-        for s in sh:
-            for sp in sh:
-                if s == sp:
-                    continue
-                if mu[h].get(s, ZERO) == 0 and mu[h].get(sp, ZERO) == 0:
-                    continue
-                edges.append(OddsLink(h, s, sp, discounted_odds_ratio(env, mu, h, s, sp)))
-    return CoherenceGraph(env.states, edges)
+        row = mu[h]
+        weights[h] = {s: row.get(s, ZERO) / p for s, p in env.reach[h].items()}
+    return CoherenceGraph(env.states, weights)
 
 
 class _Analysis:
     """Spanning-tree potentials, finite components, and the zero-edge
-    condensation, shared by check_coherence and plausibility_levels."""
+    condensation, shared by check_coherence and plausibility_levels.
+
+    Read from the weight rows: at h the finite edges join every two states
+    of positive[h] (positive weight, state order) and the zero edges run
+    from each other state of S(h) into positive[h]. Each step finds what a
+    scan of all the edges in (src, dst, h) order would find, at a cost of
+    sum |S(h)| plus sorting.
+    """
 
     def __init__(self, graph: CoherenceGraph):
         self.graph = graph
@@ -186,15 +205,6 @@ class _Analysis:
         self.violation: CoherenceViolation | None = None
         self.comp_levels: dict[int, int] = {}
         self._run()
-
-    def _finite_adjacency(self) -> dict[str, list[OddsLink]]:
-        adj: dict[str, list[OddsLink]] = {s: [] for s in self.graph.states}
-        for e in self.graph.edges:
-            if e.value.is_finite:
-                adj[e.src].append(e)
-        for s in adj:
-            adj[s].sort(key=lambda e: (self.order[e.dst], e.h))
-        return adj
 
     def _tree_path(self, frm: str, to: str) -> list[OddsLink]:
         """Links along the spanning tree from `frm` to `to` (same component)."""
@@ -214,7 +224,17 @@ class _Analysis:
         return links + list(reversed(down))
 
     def _run(self) -> None:
-        adj = self._finite_adjacency()
+        weights, order = self.graph.weights, self.order
+        positive = {h: [s for s, w in row.items() if w] for h, row in weights.items()}
+        incident: dict[str, list[str]] = {s: [] for s in self.graph.states}
+        for h in sorted(positive):
+            for s in positive[h]:
+                incident[s].append(h)
+
+        # Breadth-first over the finite edges. The first expansion of h
+        # reaches all of positive[h], so h is never expanded again, and the
+        # tree edge into v is the least h (by id) it shares with u.
+        expanded: set[str] = set()
         comp = 0
         for root in self.graph.states:
             if root in self.component:
@@ -222,42 +242,55 @@ class _Analysis:
             self.component[root] = comp
             self.potential[root] = ONE
             queue = [root]
-            while queue:
-                u = queue.pop(0)
-                for e in adj[u]:
-                    v = e.dst
-                    if v not in self.component:
-                        self.component[v] = comp
-                        # pot(u)/pot(v) = o(u, v|h) for the tree edge.
-                        self.potential[v] = self.potential[u] / e.value.value
-                        self.tree_parent[v] = e.reversed()
-                        queue.append(v)
+            for u in queue:  # the queue grows while it is read
+                found: dict[str, str] = {}
+                for h in incident[u]:
+                    if h not in expanded:
+                        expanded.add(h)
+                        for v in positive[h]:
+                            if v not in self.component:
+                                found.setdefault(v, h)
+                for v in sorted(found, key=order.__getitem__):
+                    w = weights[found[v]]
+                    self.component[v] = comp
+                    # pot(u)/pot(v) = o(u, v|h) for the tree edge.
+                    self.potential[v] = self.potential[u] * w[v] / w[u]
+                    self.tree_parent[v] = OddsLink(found[v], v, u, _ratio(w[v], w[u]))
+                    queue.append(v)
             comp += 1
-        self.n_components = comp
 
-        # Every finite edge must agree with the potentials.
-        for e in sorted(
-            self.graph.edges, key=lambda e: (self.order[e.src], self.order[e.dst], e.h)
-        ):
-            if not e.value.is_finite:
-                continue
-            if self.potential[e.src] / self.potential[e.dst] != e.value.value:
-                cycle = [e] + self._tree_path(e.dst, e.src)
-                self.violation = _make_violation(cycle)
-                return
+        # Every finite edge must agree with the potentials: pot(s)/w(s|h) is
+        # constant on positive[h]. The least failing edge at h runs from its
+        # head to the first state that disagrees with the head.
+        failing = []
+        for h, pos in positive.items():
+            if pos:
+                w, head = weights[h], pos[0]
+                c = self.potential[head] / w[head]
+                s = next((s for s in pos if self.potential[s] / w[s] != c), None)
+                if s is not None:
+                    e = OddsLink(h, head, s, _ratio(w[head], w[s]))
+                    failing.append((order[head], order[s], h, e))
+        if failing:
+            *_, e = min(failing)
+            self.violation = _make_violation([e] + self._tree_path(e.dst, e.src))
+            return
 
         # Zero edges: inside a finite component they witness a violation;
-        # across components they must form a DAG on the condensation.
+        # across components they must form a DAG on the condensation. All of
+        # positive[h] is one component, so the least zero edge from s at h,
+        # the one into the head of positive[h], decides both.
+        zero = ExtendedRatio.zero()
         zero_edges = sorted(
-            (e for e in self.graph.edges if e.value.is_zero),
-            key=lambda e: (self.order[e.src], self.order[e.dst], e.h),
+            (order[s], order[pos[0]], h, OddsLink(h, s, pos[0], zero))
+            for h, pos in positive.items() if pos
+            for s, w in weights[h].items() if not w
         )
         cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
-        for e in zero_edges:
+        for *_, e in zero_edges:
             ca, cb = self.component[e.src], self.component[e.dst]
             if ca == cb:
-                cycle = [e] + self._tree_path(e.dst, e.src)
-                self.violation = _make_violation(cycle)
+                self.violation = _make_violation([e] + self._tree_path(e.dst, e.src))
                 return
             cond[ca].setdefault(cb, e)
 
@@ -269,7 +302,6 @@ class _Analysis:
                 links.append(e)
                 if e.dst != nxt.src:
                     links.extend(self._tree_path(e.dst, nxt.src))
-            # rotate so the cycle is closed from links[0].src
             self.violation = _make_violation(links)
             return
 
@@ -352,52 +384,22 @@ def _condensation_cycle(cond: dict[int, dict[int, OddsLink]]) -> list[OddsLink] 
 
 
 def _make_violation(cycle: list[OddsLink]) -> CoherenceViolation:
-    cycle = _simplify_cycle(cycle)
+    """The witness for a closed cycle of links, which needs no clean-up.
+
+    Its sources are distinct: it is either one failing edge closed by the
+    simple tree path back to its source, or a simple cycle of distinct
+    condensation components, each zero edge joined to the next by a simple
+    tree path inside one component. Every link is finite (tree links and a
+    failing finite edge) or zero, so the product is zero or finite and is
+    never reversed. A zero link makes it zero; otherwise the tree links
+    agree with the potentials and the failing edge does not, so it is not 1.
+    """
     product = ExtendedRatio.finite(ONE)
     for link in cycle:
         product = product * link.value
-    if product.is_infinite:
-        cycle = [l.reversed() for l in reversed(cycle)]
-        product = ExtendedRatio.zero()
     if product.is_one:
         raise InternalError("constructed witness cycle has product 1")
     return CoherenceViolation(tuple(cycle), product)
-
-
-def _simplify_cycle(cycle: list[OddsLink]) -> list[OddsLink]:
-    """Reduce a closed walk to a simple cycle whose product is still not 1.
-
-    The walk decomposes into simple cycles whose products multiply to the
-    walk's product, so at least one violating simple cycle exists.
-    """
-    while True:
-        seen: dict[str, int] = {}
-        split = None
-        for i, link in enumerate(cycle):
-            if link.src in seen:
-                split = (seen[link.src], i)
-                break
-            seen[link.src] = i
-        if split is None:
-            return cycle
-        lo, hi = split
-        sub = cycle[lo:hi]
-        rest = cycle[:lo] + cycle[hi:]
-        for candidate in (sub, rest):
-            if not candidate:
-                continue
-            product = ExtendedRatio.finite(ONE)
-            ok = True
-            try:
-                for link in candidate:
-                    product = product * link.value
-            except IndeterminateProduct:
-                ok = False
-            if ok and not product.is_one:
-                cycle = candidate
-                break
-        else:
-            raise InternalError("cycle decomposition lost the violation")
 
 
 def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceViolation:
@@ -411,7 +413,4 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
 
 def plausibility_levels(graph: CoherenceGraph) -> PlausibilityPartition:
     """The partition (P^1,...,P^n) by depth of zero-odds reachability."""
-    analysis = _Analysis(graph)
-    if analysis.violation is not None:
-        raise InternalError("graph fails coherence; no plausibility partition")
-    return analysis.partition()
+    return _Analysis(graph).partition()

@@ -227,13 +227,13 @@ def violation_to_doc(violation: CoherenceViolation) -> dict:
 
 
 def violation_links(doc: Any) -> list[OddsLink]:
-    """Rehydrate just the (h, from, to) walk of a stored witness; values are
-    recomputed on re-evaluation."""
+    """Rehydrate just the (h, from, to) walk of a stored witness, as links
+    without values; `generalized_odds_ratio` recomputes them."""
     _require_keys(doc, {"cycle", "product"}, {"cycle"}, "violation")
     links = []
     for entry in doc["cycle"]:
         _require_keys(entry, {"h", "from", "to", "value"}, {"h", "from", "to"}, "cycle link")
-        links.append(OddsLink(entry["h"], entry["from"], entry["to"], ExtendedRatio.finite(Fraction(1))))
+        links.append(OddsLink(entry["h"], entry["from"], entry["to"]))
     return links
 
 

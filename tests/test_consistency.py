@@ -16,7 +16,7 @@ from dutchbook import (
     verify_ccbs,
 )
 from dutchbook.consistency import ForwardViolation, forward_violations
-from dutchbook.errors import InputError, InvalidEnvironment, PreconditionViolation
+from dutchbook.errors import InputError, InternalError, InvalidEnvironment, PreconditionViolation
 from dutchbook.model import ZERO, mass_of
 from dutchbook import fixtures as fx
 
@@ -100,6 +100,16 @@ class TestExtractLcps:
         del mu["sm"]
         with pytest.raises(InputError):
             extract_lcps(env, mu)
+
+
+    def test_is_the_verified_lcps_of_complete_consistency(self, rng, monkeypatch):
+        for _ in range(30):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = derive_beliefs(env, random_lcps(rng, env.states))
+            assert extract_lcps(env, mu) == check_complete_consistency(env, mu).lcps
+        monkeypatch.setattr("dutchbook.consistency.verify_ccbs", lambda env, mu, lcps: False)
+        with pytest.raises(InternalError, match="does not reproduce"):
+            extract_lcps(fx.larry_environment(), fx.lex_beliefs())
 
 
 class TestCompleteConsistency:

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,16 +8,32 @@ import pytest
 from dutchbook import (
     CoherenceCertificate,
     CoherenceViolation,
+    ContingencyForest,
     ExtendedRatio,
+    Lcps,
+    OddsLink,
+    PlausibilityPartition,
     build_coherence_graph,
+    build_environment,
+    check_complete_consistency,
     check_coherence,
+    derive_beliefs,
     discounted_odds_ratio,
     generalized_odds_ratio,
     plausibility_levels,
 )
-from dutchbook.errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
+from dutchbook.errors import (
+    DomainError,
+    IndeterminateProduct,
+    IndeterminateRatio,
+    InternalError,
+    InvalidEnvironment,
+)
 from dutchbook import fixtures as fx
+from dutchbook.model import ONE, ZERO
 from dutchbook.odds import _condensation_cycle, _dag_levels
+
+from conftest import random_lcps, weights
 
 F = Fraction
 
@@ -279,3 +297,281 @@ class TestCondensationWalks:
         assert _dag_levels(chain)[0] == n
         chain[n - 1] = {0: f"{n - 1}->0"}
         assert len(_condensation_cycle(chain)) == n
+
+
+# Reference implementation: the edge-list coherence analysis that the weight
+# rows replaced. It materialized every defined discounted odds ratio, ran the
+# spanning-tree search and the two checks over sorted edge scans, and passed
+# each witness through a cycle clean-up and an infinite-product reversal.
+
+def reference_edges(env, mu):
+    edges = []
+    for h in env.forest.nodes:
+        reach, sh = env.reach[h], env.consistent_states[h]
+        for s in sh:
+            for sp in sh:
+                a, b = mu[h].get(s, ZERO), mu[h].get(sp, ZERO)
+                if s == sp or (a == 0 and b == 0):
+                    continue
+                if a == 0:
+                    value = ExtendedRatio.zero()
+                elif b == 0:
+                    value = ExtendedRatio.infinite()
+                else:
+                    value = ExtendedRatio.finite(a / reach[s] * reach[sp] / b)
+                edges.append(OddsLink(h, s, sp, value))
+    return edges
+
+
+def reference_simplify_cycle(cycle):
+    while True:
+        seen, split = {}, None
+        for i, link in enumerate(cycle):
+            if link.src in seen:
+                split = (seen[link.src], i)
+                break
+            seen[link.src] = i
+        if split is None:
+            return cycle
+        lo, hi = split
+        for candidate in (cycle[lo:hi], cycle[:lo] + cycle[hi:]):
+            if not candidate:
+                continue
+            product = ExtendedRatio.finite(ONE)
+            try:
+                for link in candidate:
+                    product = product * link.value
+            except IndeterminateProduct:
+                continue
+            if not product.is_one:
+                cycle = candidate
+                break
+        else:
+            raise InternalError("cycle decomposition lost the violation")
+
+
+def reference_make_violation(cycle):
+    cycle = reference_simplify_cycle(cycle)
+    product = ExtendedRatio.finite(ONE)
+    for link in cycle:
+        product = product * link.value
+    if product.is_infinite:
+        cycle = [link.reversed() for link in reversed(cycle)]
+        product = ExtendedRatio.zero()
+    if product.is_one:
+        raise InternalError("constructed witness cycle has product 1")
+    return CoherenceViolation(tuple(cycle), product)
+
+
+class ReferenceAnalysis:
+    """`kind` names the step that decided: certificate, finite (a finite edge
+    disagrees with the potentials), inside (a zero edge inside a component)
+    or cycle (a cycle of the zero-edge condensation)."""
+
+    def __init__(self, states, edges):
+        self.states, self.edges = states, edges
+        self.order = {s: i for i, s in enumerate(states)}
+        self.component, self.potential, self.tree_parent = {}, {}, {}
+        self.violation, self.comp_levels = None, {}
+        self.kind = self._run()
+
+    def _tree_path(self, frm, to):
+        def to_root(x):
+            path = [x]
+            while path[-1] in self.tree_parent:
+                path.append(self.tree_parent[path[-1]].dst)
+            return path
+
+        up_a, up_b = to_root(frm), to_root(to)
+        common = set(up_b)
+        i = next(i for i, x in enumerate(up_a) if x in common)
+        lca = up_a[i]
+        links = [self.tree_parent[x] for x in up_a[:i]]
+        down = [self.tree_parent[x].reversed() for x in up_b[: up_b.index(lca)]]
+        return links + list(reversed(down))
+
+    def _run(self):
+        order = self.order
+        adj = {s: [] for s in self.states}
+        for e in self.edges:
+            if e.value.is_finite:
+                adj[e.src].append(e)
+        for s in adj:
+            adj[s].sort(key=lambda e: (order[e.dst], e.h))
+        comp = 0
+        for root in self.states:
+            if root in self.component:
+                continue
+            self.component[root], self.potential[root] = comp, ONE
+            queue = [root]
+            while queue:
+                u = queue.pop(0)
+                for e in adj[u]:
+                    if e.dst not in self.component:
+                        self.component[e.dst] = comp
+                        self.potential[e.dst] = self.potential[u] / e.value.value
+                        self.tree_parent[e.dst] = e.reversed()
+                        queue.append(e.dst)
+            comp += 1
+
+        scan = sorted(self.edges, key=lambda e: (order[e.src], order[e.dst], e.h))
+        for e in scan:
+            if e.value.is_finite and self.potential[e.src] / self.potential[e.dst] != e.value.value:
+                self.violation = reference_make_violation([e] + self._tree_path(e.dst, e.src))
+                return "finite"
+        cond = {c: {} for c in range(comp)}
+        for e in scan:
+            if not e.value.is_zero:
+                continue
+            ca, cb = self.component[e.src], self.component[e.dst]
+            if ca == cb:
+                self.violation = reference_make_violation([e] + self._tree_path(e.dst, e.src))
+                return "inside"
+            cond[ca].setdefault(cb, e)
+        cyc = _condensation_cycle(cond)
+        if cyc is not None:
+            links = []
+            for i, e in enumerate(cyc):
+                nxt = cyc[(i + 1) % len(cyc)]
+                links.append(e)
+                if e.dst != nxt.src:
+                    links.extend(self._tree_path(e.dst, nxt.src))
+            self.violation = reference_make_violation(links)
+            return "cycle"
+        self.comp_levels = _dag_levels(cond)
+        return "certificate"
+
+    def outcome(self):
+        if self.violation is not None:
+            return self.violation
+        n = max(self.comp_levels.values(), default=1)
+        levels = [[] for _ in range(n)]
+        for s in self.states:
+            levels[self.comp_levels[self.component[s]] - 1].append(s)
+        potentials = {}
+        for members in levels:
+            total = sum((self.potential[s] for s in members), ZERO)
+            potentials.update({s: self.potential[s] / total for s in members})
+        partition = PlausibilityPartition(tuple(tuple(members) for members in levels))
+        return CoherenceCertificate(partition, potentials)
+
+
+def renamed_forest_environment(rng):
+    """Random environment on a shuffled forest whose node ids are drawn out of
+    order, so that id order, forest order and state order all differ."""
+    while True:
+        n = rng.randint(2, 9)
+        order = [f"h{k}" for k in rng.sample(range(40), n)]
+        parent = {}
+        for i in range(1, n):
+            if rng.random() < 0.6:
+                parent[order[i]] = order[rng.randrange(i)]
+        nodes = order[:]
+        rng.shuffle(nodes)
+        forest = ContingencyForest(nodes, parent)
+        states = [f"s{i}" for i in range(rng.randint(3, 7))]
+        eta = {s: weights(rng, forest.leaves) for s in states}
+        try:
+            return build_environment(states, forest, eta)
+        except InvalidEnvironment:
+            continue
+
+
+def coherence_instances(seed, count):
+    """Seeded (env, mu): random beliefs with zeros, beliefs derived from an
+    LCPS, and derived beliefs with one to three rows re-drawn, in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        env = renamed_forest_environment(rng)
+        nodes, sh = env.forest.nodes, env.consistent_states
+        if i % 3 == 0:
+            mu = {h: weights(rng, sh[h]) for h in nodes}
+        else:
+            mu = derive_beliefs(env, random_lcps(rng, env.states))
+            if i % 3 == 2:
+                for h in rng.sample(nodes, min(len(nodes), rng.randint(1, 3))):
+                    mu[h] = weights(rng, sh[h], full_support=rng.random() < 0.5)
+        yield env, mu
+
+
+class TestWeightRowsMatchEdgeList:
+    def test_outcomes_and_edges_on_seeded_instances(self):
+        seen = Counter()
+        for env, mu in coherence_instances(0xC0DE, 2400):
+            graph = build_coherence_graph(env, mu)
+            edges = reference_edges(env, mu)
+            assert graph.edges == edges
+            reference = ReferenceAnalysis(env.states, edges)
+            outcome = check_coherence(graph)
+            assert outcome == reference.outcome()
+            assert repr(outcome) == repr(reference.outcome())
+            if reference.kind == "certificate":
+                assert plausibility_levels(graph) == outcome.partition
+                multi_level = len(outcome.partition.levels) > 1
+                seen["multi-level certificate" if multi_level else "certificate"] += 1
+            else:
+                seen[reference.kind] += 1
+        assert all(
+            seen[kind] >= 50 for kind in ("multi-level certificate", "finite", "inside", "cycle")
+        ), seen
+
+    def test_witness_shape(self):
+        witnesses = 0
+        for env, mu in coherence_instances(0x5AFE, 900):
+            outcome = check_coherence(build_coherence_graph(env, mu))
+            if isinstance(outcome, CoherenceCertificate):
+                continue
+            witnesses += 1
+            cycle = outcome.cycle
+            assert cycle[-1].dst == cycle[0].src
+            assert all(prev.dst == link.src for prev, link in zip(cycle, cycle[1:]))
+            assert len({link.src for link in cycle}) == len(cycle)
+            assert all(link.value.is_finite or link.value.is_zero for link in cycle)
+            assert outcome.product.is_zero or outcome.product.is_finite
+            assert generalized_odds_ratio(env, mu, cycle) == outcome.product
+        assert witnesses >= 300
+
+    def test_edges_are_derived_on_demand(self):
+        graph = build_coherence_graph(fx.larry_environment(), fx.lex_beliefs())
+        assert "edges" not in vars(graph)
+        check_coherence(graph)
+        plausibility_levels(graph)
+        assert "edges" not in vars(graph)
+        assert graph.edges is graph.edges
+
+
+def two_contingency_environment(n):
+    """n states, two contingencies a and b over all of them, and one
+    singleton leaf l_i under a per state."""
+    states = [f"s{i}" for i in range(n)]
+    leaves = [f"l{i}" for i in range(n)]
+    forest = ContingencyForest(["a", "b"] + leaves, {leaf: "a" for leaf in leaves})
+    half = Fraction(1, 2)
+    eta = {s: {leaf: half, "b": half} for s, leaf in zip(states, leaves)}
+    return build_environment(states, forest, eta)
+
+
+class TestScale:
+    def test_two_contingencies_over_a_thousand_states(self):
+        n = 1000
+        env = two_contingency_environment(n)
+        first, rest = env.states[: n // 2], env.states[n // 2 :]
+        lcps = Lcps(
+            (
+                {s: Fraction(1, len(first)) for s in first},
+                {s: Fraction(1, len(rest)) for s in rest},
+            )
+        )
+        mu = derive_beliefs(env, lcps)
+        started = time.perf_counter()
+        result = check_complete_consistency(env, mu)
+        assert time.perf_counter() - started < 3.0
+        assert result.consistent and result.lcps == lcps
+
+        total = n * (n + 1) // 2
+        mu["b"] = {s: Fraction(i + 1, total) for i, s in enumerate(env.states)}
+        started = time.perf_counter()
+        result = check_complete_consistency(env, mu)
+        assert time.perf_counter() - started < 3.0
+        assert not result.consistent and result.violation.product.is_finite
+        assert generalized_odds_ratio(env, mu, result.violation.cycle) == result.violation.product

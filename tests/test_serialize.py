@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dutchbook import check_complete_consistency, classify_dutch_book
+from dutchbook import check_complete_consistency, classify_dutch_book, generalized_odds_ratio
 from dutchbook import fixtures as fx
 from dutchbook import serialize as sz
 from dutchbook.errors import InputError
@@ -96,6 +96,13 @@ class TestVerdictDocs:
         assert [(l.h, l.src, l.dst) for l in links] == [
             (e["h"], e["from"], e["to"]) for e in doc["cycle"]
         ]
+
+    def test_stored_witness_rehydrates_without_values(self):
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        doc = sz.violation_to_doc(check_complete_consistency(env, mu).violation)
+        links = sz.violation_links(json.loads(sz.dumps(doc)))
+        assert all(link.value is None for link in links)
+        assert generalized_odds_ratio(env, mu, links).value == F(1, 27)
 
     def test_certificate_doc(self):
         result = check_complete_consistency(fx.larry_environment(), fx.lex_beliefs())
