@@ -16,6 +16,7 @@ from .model import (
     ONE,
     ZERO,
     _exact_sum,
+    _require_rational,
     dist_equal,
     validate_belief_system,
 )
@@ -60,6 +61,10 @@ def validate_lcps(lcps: Lcps, states: tuple[str, ...]) -> None:
         bad = [s for s in level if s not in known]
         if bad:
             raise InputError(f"LCPS level {m} has unknown states {bad}")
+        for s, mass in level.items():
+            _require_rational(
+                mass, "LCPS level %d: non-rational mass at %r", m, s, error=InputError
+            )
         if any(mass < 0 for mass in level.values()):
             raise InputError(f"LCPS level {m} has negative mass")
         if sum(level.values(), ZERO) != ONE:

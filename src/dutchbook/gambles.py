@@ -14,6 +14,7 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _require_rational,
     has_deterministic_continuation,
 )
 from .consistency import (
@@ -36,6 +37,10 @@ class SynthesisParams:
     shrink_factor: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
+        _require_rational(self.epsilon, "epsilon must be rational, not %r", self.epsilon)
+        _require_rational(
+            self.shrink_factor, "shrink factor must be rational, not %r", self.shrink_factor
+        )
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if not 0 < self.shrink_factor < 1:
@@ -258,8 +263,10 @@ def synthesize_deterministic_db(
     else d = 0. Paths through h sum to -d <= 0 for s and to
     y - x + 2*eps/3 < 0 for s' (one exists as mu(s'|h) > 0); others to 0.
     """
-    if epsilon is not None and epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if epsilon is not None:
+        _require_rational(epsilon, "epsilon must be rational, not %r", epsilon)
+        if epsilon <= 0:
+            raise DomainError("epsilon must be positive")
     require_valid_beliefs(env, mu)
     violations = forward_violations(env, mu)
     first = next(violations, None)

@@ -34,6 +34,14 @@ def _exact_sum(values: Iterable[Rational]) -> Fraction:
     return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
+def _require_rational(value: object, message: str, *args: object, error=DomainError) -> None:
+    """Raise error(message % args) unless value is a Rational: a float would
+    make exact comparisons pass or fail by rounding. The message is only
+    formatted on failure."""
+    if not isinstance(value, Rational):
+        raise error(message % args)
+
+
 def dist_equal(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> bool:
     """Exact equality of distributions, treating missing keys as zero."""
     for k in set(a) | set(b):
@@ -169,8 +177,9 @@ def build_environment(
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
         for k, v in eta[s].items():
-            if not isinstance(v, Rational):
-                raise InvalidEnvironment(f"eta[{s!r}]: non-rational mass at {k!r}")
+            _require_rational(
+                v, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment
+            )
         row = {k: Fraction(v) for k, v in eta[s].items()}
         bad = [k for k in row if k not in leaf_rank]
         if bad:

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
-from .model import BeliefSystem, LearningEnvironment, ZERO, ONE
+from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
 
 _ZERO_TAG = "zero"
 _FINITE_TAG = "finite"
@@ -181,6 +181,9 @@ def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> Coheren
     weights = {}
     for h in env.forest.nodes:
         row = mu[h]
+        for s, mass in row.items():
+            if type(mass) is not Fraction:  # isinstance on the ABC costs more
+                _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
         weights[h] = {s: row.get(s, ZERO) / p for s, p in env.reach[h].items()}
     return CoherenceGraph(env.states, weights)
 

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, InputError
-from .model import BeliefSystem, Distribution, LearningEnvironment, ZERO, check_distribution
+from .model import (
+    BeliefSystem,
+    Distribution,
+    LearningEnvironment,
+    ZERO,
+    _require_rational,
+    check_distribution,
+)
 from .gambles import (
     GambleSystem,
     classify_deterministic,
@@ -37,6 +45,10 @@ class SimConfig:
     mode: FixedState | Prior
 
     def __post_init__(self):
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputError(f"{name} must be an int, not {type(value).__name__}")
         if self.rounds < 1:
             raise InputError("rounds must be at least 1")
 
@@ -58,28 +70,21 @@ class SimReport:
     per_state: dict[str, StateStats]
 
 
-def _round_rng(seed: int, index: int) -> random.Random:
-    # Counter-based: each round's generator is derived from (seed, index)
-    # alone, so rounds are order-independent and parallel-safe.
-    return random.Random(f"{seed}:{index}")
-
-
-def _draw(rng: random.Random, cumulative: list[tuple[Fraction, str]]) -> str:
-    u = Fraction(rng.getrandbits(64), _U64)
-    for bound, key in cumulative:
-        if u < bound:
-            return key
-    return cumulative[-1][1]
-
-
-def _cumulative(masses: Iterable[tuple[str, Fraction]]) -> list[tuple[Fraction, str]]:
+def _thresholds(masses: Iterable[tuple[str, Fraction]]) -> tuple[list[int], list[str]]:
+    """Integer bounds ceil(b * 2**64) of the cumulative masses b, with their
+    keys. For a 64-bit draw r and u = r / 2**64, u < b iff r < ceil(b * 2**64),
+    so the first key with u < b is keys[bisect_right(bounds, r)]."""
     acc = ZERO
-    out = []
+    bounds: list[int] = []
+    keys: list[str] = []
     for k, mass in masses:
         if mass > 0:
             acc += mass
-            out.append((acc, k))
-    return out
+            bounds.append(-((-acc.numerator << 64) // acc.denominator))
+            keys.append(k)
+    # The last key takes every draw that no earlier bound catches.
+    bounds[-1] = _U64
+    return bounds, keys
 
 
 def run_rounds(
@@ -99,33 +104,49 @@ def run_rounds(
     if isinstance(cfg.mode, FixedState):
         env.require_state(cfg.mode.state)
         tracked = (cfg.mode.state,)
-        state_cum = None
+        state_bounds = None
     else:
-        check_distribution(cfg.mode.distribution, "prior")
-        for s in cfg.mode.distribution:
+        prior = cfg.mode.distribution
+        for s, mass in prior.items():
+            _require_rational(mass, "prior: non-rational mass at %r", s)
+        check_distribution(prior, "prior")
+        for s in prior:
             env.require_state(s)
-        tracked = tuple(s for s in env.states if cfg.mode.distribution.get(s, ZERO) > 0)
-        state_cum = _cumulative((s, cfg.mode.distribution.get(s, ZERO)) for s in env.states)
+        state_bounds, tracked = _thresholds((s, prior.get(s, ZERO)) for s in env.states)
 
-    # eta rows are in forest order, so paths are drawn in forest order.
-    path_cum = {s: _cumulative(env.eta[s].items()) for s in env.states}
+    # eta rows are in forest order, so paths are drawn in forest order. Per
+    # tracked state: leaf thresholds, per-leaf hit counts, and float squares.
+    leaves: dict[str, list[str]] = {}
+    rows = {}
+    for s in tracked:
+        bounds, leaves[s] = _thresholds(env.eta[s].items())
+        squares = [float(payoff[s][leaf]) ** 2 for leaf in leaves[s]]
+        rows[s] = (bounds, [0] * len(bounds), squares)
 
-    counts = {s: 0 for s in tracked}
-    sums = {s: ZERO for s in tracked}
+    # Float addition is not associative, so the square sums are added round
+    # by round, in round order; count * x**2 per leaf would round otherwise.
     sq_sums = {s: 0.0 for s in tracked}
+    rng = random.Random()
     for i in range(cfg.rounds):
-        rng = _round_rng(cfg.seed, i)
-        s = cfg.mode.state if state_cum is None else _draw(rng, state_cum)
-        leaf = _draw(rng, path_cum[s])
-        value = payoff[s][leaf]
-        counts[s] += 1
-        sums[s] += value
-        sq_sums[s] += float(value) ** 2
+        # Counter-based: each round's state is derived from (seed, index)
+        # alone, so rounds are order-independent and parallel-safe. Reseeding
+        # one generator gives the state random.Random(f"{seed}:{i}") has.
+        rng.seed(f"{cfg.seed}:{i}")
+        if state_bounds is None:
+            s = cfg.mode.state
+        else:
+            s = tracked[bisect_right(state_bounds, rng.getrandbits(64))]
+        bounds, hits, squares = rows[s]
+        j = bisect_right(bounds, rng.getrandbits(64))
+        hits[j] += 1
+        sq_sums[s] += squares[j]
 
     per_state: dict[str, StateStats] = {}
     for s in tracked:
-        n = counts[s]
-        mean_exact = sums[s] / n if n else ZERO
+        hits = rows[s][1]
+        n = sum(hits)
+        total = sum((c * payoff[s][leaf] for leaf, c in zip(leaves[s], hits) if c), ZERO)
+        mean_exact = total / n if n else ZERO
         mean = float(mean_exact)
         if n >= 2:
             var = max(0.0, (sq_sums[s] - n * mean * mean) / (n - 1))

@@ -48,6 +48,13 @@ class TestValidateLcps:
         with pytest.raises(InputError, match="negative"):
             validate_lcps(Lcps(({"a": F(3, 2), "b": F(-1, 2)},)), ("a", "b"))
 
+    def test_rejects_float_mass(self):
+        # Dyadic floats sum to 1 exactly, so only the type check stops them
+        # from reaching derive_beliefs as 0.6666666666666666.
+        lcps = Lcps(({"sq": 0.5, "ma": 0.25, "pa": 0.25},))
+        with pytest.raises(InputError, match="LCPS level 0: non-rational mass at 'sq'"):
+            derive_beliefs(fx.larry_environment(), lcps)
+
 
 class TestDeriveBeliefs:
     def test_uniform_prior_gives_uniform_beliefs(self):

@@ -185,6 +185,17 @@ class TestSynthesizeDutchBook:
         with pytest.raises(DomainError):
             SynthesisParams(F(1), F(1))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"epsilon": 0.5}, "epsilon must be rational, not 0.5"),
+            ({"shrink_factor": 0.5}, "shrink factor must be rational, not 0.5"),
+        ],
+    )
+    def test_float_params_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            SynthesisParams(**kwargs)
+
     def test_random_inconsistent_instances(self, rng):
         env, count = fx.larry_environment(), 0
         for _ in range(30):
@@ -314,6 +325,13 @@ class TestSynthesizeDeterministic:
         with pytest.raises(DomainError, match="epsilon must be positive"):
             synthesize_deterministic_db(
                 fx.nested_environment(), fx.drift_beliefs(), epsilon=epsilon
+            )
+
+    def test_float_epsilon_rejected(self):
+        # Rejected up front, before it reaches the book's payoffs.
+        with pytest.raises(DomainError, match="epsilon must be rational, not 0.25"):
+            synthesize_deterministic_db(
+                fx.nested_environment(), fx.drift_beliefs(), epsilon=0.25
             )
 
 

@@ -147,6 +147,15 @@ class TestCoherenceGraph:
         assert any({e.src, e.dst} == {"A", "B"} and e.h == "h0" for e in graph.edges)
 
 
+    def test_float_row_rejected(self):
+        # Float weights would make pot(s)/w(s|h) compare unequal by rounding
+        # and end in InternalError("constructed witness cycle has product 1").
+        mu = fx.uniform_beliefs()
+        mu["sm"] = {"sq": 0.5, "ma": 0.5}
+        with pytest.raises(DomainError, match=r"mu\['sm'\]: non-rational mass at 'sq'"):
+            build_coherence_graph(fx.larry_environment(), mu)
+
+
 class TestCheckCoherence:
     def test_regret_violation(self):
         env, mu = fx.larry_environment(), fx.regret_beliefs()
