@@ -23,9 +23,9 @@ from .consistency import (
 )
 from .cps import check_siniscalchi, cps_to_lcps, lcps_to_cps
 from .errors import (
-    DutchbookError,
+    DomainError,
+    IndeterminateRatio,
     InputError,
-    InternalError,
     PreconditionViolation,
     UnsupportedEnvironment,
 )
@@ -33,8 +33,8 @@ from .gambles import (
     accepts_system,
     classify_deterministic,
     classify_dutch_book,
-    synthesize_deterministic_db,
-    synthesize_dutch_book,
+    deterministic_synthesis,
+    dutch_book_synthesis,
 )
 from .model import is_uniform_reach, validate_belief_system
 from .simulate import (
@@ -51,10 +51,9 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 # The first class an exception belongs to names its error code; any other
-# exception is a bug and reported as "internal". All of them exit 2.
-_ERROR_CODES = (
-    (InputError, "input"), (UnsupportedEnvironment, "unsupported"), (DutchbookError, "domain")
-)
+# exception, an InternalError too, is a bug and reported as "internal". All exit 2.
+_ERROR_CODES = ((InputError, "input"), (UnsupportedEnvironment, "unsupported"),
+                ((DomainError, IndeterminateRatio, PreconditionViolation), "domain"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,16 +94,17 @@ def _build_parser() -> _Parser:
     cmd("check-siniscalchi", _check_siniscalchi,
         "generalized chain-rule check (uniform reach only)",
         "--env", "--beliefs", __max_len={"type": int, "default": None})
-    cmd("verify-book", partial(_verify, judge=_book_verdict),
+    cmd("verify-book", partial(_verify, classify=classify_dutch_book, judge=_book_verdict),
         "classify a gamble system as a Dutch book",
         "--env", "--book", __beliefs={"required": False})
-    cmd("verify-deterministic", partial(_verify, judge=_deterministic_verdict),
+    cmd("verify-deterministic",
+        partial(_verify, classify=classify_deterministic, judge=_deterministic_verdict),
         "classify a gamble system path-by-path",
         "--env", "--book", __beliefs={"required": False})
-    cmd("synth-book", partial(_synth, synthesize=synthesize_dutch_book, judge=_book_verdict),
+    cmd("synth-book", partial(_synth, synthesize=dutch_book_synthesis, judge=_book_verdict),
         "construct a Dutch book against inconsistent beliefs", "--env", "--beliefs")
     cmd("synth-deterministic",
-        partial(_synth, synthesize=synthesize_deterministic_db, judge=_deterministic_verdict),
+        partial(_synth, synthesize=deterministic_synthesis, judge=_deterministic_verdict),
         "construct a deterministic Dutch book against forward-inconsistent beliefs",
         "--env", "--beliefs")
     cmd("simulate", _simulate, "Monte Carlo audit of a gamble system", "--env", "--beliefs",
@@ -209,7 +209,6 @@ def _to_lcps(args) -> tuple[int, dict]:
 
 def _check_siniscalchi(args) -> tuple[int, dict]:
     env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
-    require_valid_beliefs(env, mu)  # check_siniscalchi does not validate
     violation = check_siniscalchi(env, mu, args.max_len)
     if violation is None:
         return EXIT_OK, {"ok": True}
@@ -219,20 +218,18 @@ def _check_siniscalchi(args) -> tuple[int, dict]:
     }
 
 
-def _book_verdict(env, g) -> tuple[dict, bool]:
-    verdict = classify_dutch_book(env, g)
+def _book_verdict(env, verdict) -> tuple[dict, bool]:
     return serialize.book_verdict_to_doc(verdict, env.states), verdict.is_dutch_book
 
 
-def _deterministic_verdict(env, g) -> tuple[dict, bool]:
-    verdict = classify_deterministic(env, g)
+def _deterministic_verdict(env, verdict) -> tuple[dict, bool]:
     return serialize.deterministic_verdict_to_doc(verdict, env), verdict.is_deterministic_db
 
 
-def _verify(args, judge) -> tuple[int, dict]:
+def _verify(args, classify, judge) -> tuple[int, dict]:
     env = _load_env(args.env)
     g = serialize.gambles_from_doc(serialize.load_file(args.book))
-    payload, positive = judge(env, g)
+    payload, positive = judge(env, classify(env, g))
     if args.beliefs:
         mu = _load_beliefs(args.beliefs)
         require_valid_beliefs(env, mu)  # accepts_system does not validate
@@ -243,28 +240,21 @@ def _verify(args, judge) -> tuple[int, dict]:
 
 
 def _synth(args, synthesize, judge) -> tuple[int, dict]:
-    env = _load_env(args.env)
-    mu = _load_beliefs(args.beliefs)
+    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
     try:
-        g = synthesize(env, mu)
+        g, acceptance, verdict = synthesize(env, mu)
     except UnsupportedEnvironment:
         raise
     except PreconditionViolation as exc:
         return EXIT_NEGATIVE, {"synthesized": False, "reason": str(exc)}
-    # Re-verify before reporting success; the synthesizers already do,
-    # but the exit code must not rely on that.
-    report = accepts_system(env, mu, g)
     payload = serialize.gambles_to_doc(env, g)
-    payload["acceptance"] = serialize.acceptance_to_doc(report, env)
-    payload["verdict"], is_book = judge(env, g)
-    if not (report.accepted and is_book):
-        raise InternalError("synthesized gamble system failed re-verification")
+    payload["acceptance"] = serialize.acceptance_to_doc(acceptance, env)
+    payload["verdict"], _ = judge(env, verdict)
     return EXIT_OK, payload
 
 
 def _simulate(args) -> tuple[int, dict]:
     env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
-    require_valid_beliefs(env, mu)  # run_rounds does not validate
     g = serialize.gambles_from_doc(serialize.load_file(args.book))
     if args.state:
         mode = FixedState(args.state)

@@ -13,10 +13,11 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _require_rational,
     is_uniform_reach,
     mass_of,
 )
-from .consistency import Lcps, validate_lcps
+from .consistency import Lcps, require_valid_beliefs, validate_lcps
 
 MAX_CPS_STATES = 16  # 2^16 - 1 conditioning events is the practical ceiling
 
@@ -57,6 +58,8 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
         if c not in cps.conditionals:
             raise InputError(f"missing subset entry {sorted(c)}")
         row = cps.conditionals[c]
+        for s, m in row.items():
+            _require_rational(m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError)
         if any(m < 0 for m in row.values()):
             return CpsViolation(c, None, None, min(row.values()), ZERO)
         if any(s not in cps.states for s in row):
@@ -130,6 +133,7 @@ def check_siniscalchi(
     Only defined on uniform-reach environments. E ranges over singletons and
     the full intersection; singletons suffice by additivity.
     """
+    require_valid_beliefs(env, mu)
     if not is_uniform_reach(env):
         raise NonUniformReach("generalized chain rule requires uniform reach")
     if max_len is None:

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, InternalError, PreconditionViolation, UnsupportedEnvironment
 from .model import (
@@ -65,6 +65,14 @@ class AcceptanceReport:
     per_contingency: dict[str, tuple[Fraction, bool]]  # h -> (expectation, accepted)
 
 
+class Synthesis(NamedTuple):
+    """A synthesized book with the acceptance report and verdict verifying it."""
+
+    book: GambleSystem
+    acceptance: AcceptanceReport
+    verdict: BookVerdict | DeterministicVerdict
+
+
 def expected_payoff(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) -> Fraction:
     return sum((nu.get(s, ZERO) * x for s, x in gamble.items()), ZERO)
 
@@ -93,7 +101,7 @@ def _check_supports(env: LearningEnvironment, g: GambleSystem) -> None:
 def accepts_system(
     env: LearningEnvironment, mu: BeliefSystem, g: GambleSystem
 ) -> AcceptanceReport:
-    """Per-contingency acceptance of every gamble in the system."""
+    """Per-contingency acceptance of every gamble; mu is not validated."""
     _check_supports(env, g)
     detail: dict[str, tuple[Fraction, bool]] = {}
     for h in env.forest.nodes:
@@ -175,16 +183,24 @@ def _expected_terms_book(
 
 
 def synthesize_dutch_book(
-    env: LearningEnvironment,
-    mu: BeliefSystem,
-    params: SynthesisParams = SynthesisParams(),
+    env: LearningEnvironment, mu: BeliefSystem, params: SynthesisParams = SynthesisParams()
 ) -> GambleSystem:
+    """The verified, accepted Dutch book of `dutch_book_synthesis`."""
+    return dutch_book_synthesis(env, mu, params).book
+
+
+def dutch_book_synthesis(
+    env: LearningEnvironment, mu: BeliefSystem, params: SynthesisParams = SynthesisParams()
+) -> Synthesis:
     """Turn a coherence violation into a verified, accepted Dutch book.
 
     Every book entry is affine in eps, so each state's objective expectation
-    is v0 + eps * slope: v0 from the book at eps = 0, the slope from one more
-    classification at eps = 1. The first eps of epsilon * shrink_factor^k
-    whose |S| values make a Dutch book is used, and the book built once.
+    is a + eps * d: a from the book at eps = 0, d from one more classification
+    at eps = 1 (a state with a = d = 0 is 0 at every eps and is left out). A
+    state with d > 0 is positive at every eps above -a/d, so no eps above
+    hi = min(-a/d over d > 0) makes a book; those of epsilon * shrink_factor^k
+    are skipped by comparison (hi <= 0 leaves none), and the capped scan then
+    takes the first eps whose values make a Dutch book. The book is built once.
     Acceptance holds for every eps > 0: each cycle contingency's expectation
     is a sum of eps * mu(s^m | h^m) terms, and mu(s^m | h^m) > 0 because the
     oriented witness has no infinite link; other contingencies get no gamble.
@@ -206,18 +222,25 @@ def synthesize_dutch_book(
         raise InternalError("telescoping identity failed on witness cycle")
     v1 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ONE)).per_state
 
+    terms = [(v0[s], v1[s] - v0[s]) for s in env.states if v0[s] or v1[s]]
     eps = params.epsilon
+    hi = min((-a / d for a, d in terms if d > 0), default=eps)
+    if hi <= 0:
+        raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+    while eps > hi:
+        eps *= params.shrink_factor
     for _ in range(MAX_EPSILON_HALVINGS):
-        values = [v0[s] + eps * (v1[s] - v0[s]) for s in env.states]
+        values = [a + eps * d for a, d in terms]
         if all(v <= 0 for v in values) and any(v < 0 for v in values):
             break
         eps *= params.shrink_factor
     else:
         raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
     g = _expected_terms_book(env, mu, cycle, eps)
-    if not (accepts_system(env, mu, g).accepted and classify_dutch_book(env, g).is_dutch_book):
+    acceptance, verdict = accepts_system(env, mu, g), classify_dutch_book(env, g)
+    if not (acceptance.accepted and verdict.is_dutch_book):
         raise InternalError("telescoping book failed verification")
-    return g
+    return Synthesis(g, acceptance, verdict)
 
 
 def _deterministic_witness_pair(
@@ -247,16 +270,21 @@ def _deterministic_witness_pair(
 
 
 def synthesize_deterministic_db(
-    env: LearningEnvironment,
-    mu: BeliefSystem,
-    epsilon: Fraction | None = None,
+    env: LearningEnvironment, mu: BeliefSystem, epsilon: Fraction | None = None
 ) -> GambleSystem:
+    """The verified deterministic Dutch book of `deterministic_synthesis`."""
+    return deterministic_synthesis(env, mu, epsilon).book
+
+
+def deterministic_synthesis(
+    env: LearningEnvironment, mu: BeliefSystem, epsilon: Fraction | None = None
+) -> Synthesis:
     """Two-contingency deterministic Dutch book from a conditioning failure.
 
     Requires deterministic continuation, so every path of a state in S(h')
     that passes h reaches h'. With odds x at h above y at h', the book is
     g(.|h) = {s: 1, s': eps/3 - x}, g(.|h') = {s: -1 - d, s': y + eps/3}
-    for the first eps of epsilon, epsilon/2, ... below x - y.
+    for the first eps of epsilon, epsilon/2, ... below x - y > 0.
     Proof: the expectation at h is mu(s'|h)*eps/3 > 0, at h' it is
     mu(s'|h')*(eps/3 - y*d), i.e. mu(s'|h')*eps*(1/3 - y^2/4) for the drag
     d = y*eps/4; so d = y*eps/4 iff 3y^2 < 4 (no rational y has 3y^2 = 4),
@@ -286,15 +314,11 @@ def synthesize_deterministic_db(
     h, hp, s, sp, x, y = found
 
     eps = epsilon if epsilon is not None else (x - y) / 2
-    for _ in range(MAX_EPSILON_HALVINGS):
-        if eps < x - y:
-            break
+    while eps >= x - y:
         eps /= 2
-    else:
-        raise InternalError("epsilon shrinking exhausted in deterministic synthesis")
     drag = y * eps / 4 if 3 * y * y < 4 else ZERO
     g: GambleSystem = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}
-    verdict = classify_deterministic(env, g)
-    if not (accepts_system(env, mu, g).accepted and verdict.is_deterministic_db):
+    acceptance, verdict = accepts_system(env, mu, g), classify_deterministic(env, g)
+    if not (acceptance.accepted and verdict.is_deterministic_db):
         raise InternalError("deterministic book failed verification")
-    return g
+    return Synthesis(g, acceptance, verdict)

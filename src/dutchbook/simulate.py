@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .consistency import require_valid_beliefs
 from .errors import DomainError, InputError
 from .model import (
     BeliefSystem,
@@ -95,6 +96,7 @@ def run_rounds(
 ) -> SimReport:
     """Replay cfg.rounds rounds; per round, draw a state, draw a path from
     eta, and credit each accepted gamble along the path."""
+    require_valid_beliefs(env, mu)
     exact_ungated = classify_dutch_book(env, g).per_state
     gated = {h: gamble for h, gamble in g.items() if is_willing_to_accept(mu[h], gamble)}
     exact_gated = classify_dutch_book(env, gated).per_state

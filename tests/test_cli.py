@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from dutchbook import cli, gambles
 from dutchbook.cli import main
+from dutchbook.gambles import AcceptanceReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +166,94 @@ class TestSynthesisCommands:
         )
         assert code == 0
         assert payload["verdict"]["isDeterministicDB"] is True
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["synth-book", "--env", "larry.json", "--beliefs", "regret.json"],
+                "70cc3b57b79a04f6a338ace7bcfb9b1b4d650e90ed5582704ec7cd56594ada26",
+            ),
+            (
+                ["synth-deterministic", "--env", "nested.json", "--beliefs", "drift.json"],
+                "827dfead53bed4ade1df9cc0d7c1babd44060a128d2f7003407b729f83b58b35",
+            ),
+            (
+                ["verify-book", "--env", "larry.json", "--book", "larry-book.json",
+                 "--beliefs", "regret.json"],
+                "f377f145315a52dde6b382d03227e2bdc8f119f9d791d3b2cfbe90f63da2d081",
+            ),
+            (
+                ["verify-deterministic", "--env", "larry.json", "--book", "larry-book.json",
+                 "--beliefs", "regret.json"],
+                "11177ee66ff19f451bfc95e11cf0fb7294513b032b38dfdb62a385494ec476f9",
+            ),
+            (
+                ["check-siniscalchi", "--env", "larry.json", "--beliefs", "uniform.json"],
+                "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f",
+            ),
+        ],
+        ids=["synth-book", "synth-deterministic", "verify-book", "verify-deterministic",
+             "check-siniscalchi"],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        # sha256 of stdout as printed when the CLI re-verified synthesized
+        # books itself: serializing the synthesizer's own reports must not
+        # change a byte.
+        main([str(DATA / a) if a.endswith(".json") else a for a in argv])
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, env, beliefs, expected",
+        [
+            ("synth-book", "larry.json", "regret.json",
+             {"accepts_system": 1, "classify_dutch_book": 3, "classify_deterministic": 0}),
+            ("synth-deterministic", "nested.json", "drift.json",
+             {"accepts_system": 1, "classify_dutch_book": 0, "classify_deterministic": 1}),
+        ],
+        ids=["synth-book", "synth-deterministic"],
+    )
+    def test_one_verification_per_synthesis(self, capsys, monkeypatch, command, env, beliefs,
+                                            expected):
+        # synth-book classifies at eps = 0 and eps = 1 to get the affine
+        # values, then verifies the final book once; the CLI re-checks nothing.
+        calls = dict.fromkeys(expected, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in expected:
+            for module in (gambles, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(gambles, name)))
+        code = main([command, "--env", str(DATA / env), "--beliefs", str(DATA / beliefs)])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == expected
+
+    @pytest.mark.parametrize(
+        "command, env, beliefs, message",
+        [
+            ("synth-book", "larry.json", "regret.json", "telescoping book"),
+            ("synth-deterministic", "nested.json", "drift.json", "deterministic book"),
+        ],
+        ids=["synth-book", "synth-deterministic"],
+    )
+    def test_failed_verification_is_internal_error(self, capsys, monkeypatch, command, env,
+                                                   beliefs, message):
+        monkeypatch.setattr(gambles, "accepts_system", lambda *_: AcceptanceReport(False, {}))
+        code = main([command, "--env", str(DATA / env), "--beliefs", str(DATA / beliefs)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {
+            "code": "internal",
+            "message": f"InternalError: {message} failed verification",
+            "location": None,
+        }
+        assert captured.err.startswith("Traceback")
 
 
 class TestSimulateCommand:

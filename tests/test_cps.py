@@ -50,6 +50,19 @@ class TestValidateCompleteCps:
         v = validate_complete_cps(cps)
         assert v is not None and v.d is None
 
+    def test_float_row_rejected(self):
+        # 0.5 + 0.5 == 1.0 in floating point; the mass must be rejected
+        # before any row arithmetic, not compared as a float.
+        cps = CompleteCps(("a", "b"), {
+            frozenset("a"): {"a": 1.0},
+            frozenset("b"): {"b": F(1)},
+            frozenset("ab"): {"a": 0.5, "b": 0.5},
+        })
+        with pytest.raises(InputError, match=r"row \['a'\]: non-rational mass at 'a'"):
+            validate_complete_cps(cps)
+        with pytest.raises(InputError, match="non-rational mass"):
+            cps_to_lcps(cps)
+
     def test_chain_rule_violation(self):
         cps = lcps_to_cps(Lcps(({"sq": F(1, 3), "ma": F(1, 3), "pa": F(1, 3)},)), STATES)
         cps.conditionals[frozenset({"ma", "pa"})] = {"ma": F(2, 3), "pa": F(1, 3)}
@@ -100,6 +113,22 @@ class TestSiniscalchi:
 
     def test_lex_ok(self):
         assert check_siniscalchi(fx.larry_environment(), fx.lex_beliefs()) is None
+
+    def test_missing_belief_row_rejected(self):
+        mu = fx.regret_beliefs()
+        del mu["sm"]
+        with pytest.raises(InputError, match="invalid belief system: .*undefined belief"):
+            check_siniscalchi(fx.larry_environment(), mu)
+
+    def test_float_belief_row_rejected(self):
+        mu = fx.uniform_beliefs()
+        mu["sm"] = {"sq": 0.5, "ma": 0.5}
+        with pytest.raises(InputError, match="invalid belief system: .*non-rational mass"):
+            check_siniscalchi(fx.larry_environment(), mu)
+
+    def test_beliefs_validated_before_uniform_reach(self):
+        with pytest.raises(InputError, match="invalid belief system"):
+            check_siniscalchi(fx.skewed_environment(), {})
 
     def test_requires_uniform_reach(self):
         with pytest.raises(NonUniformReach):

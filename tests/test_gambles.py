@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,12 @@ from dutchbook.errors import (
 from dutchbook import fixtures as fx
 from dutchbook.gambles import (
     MAX_EPSILON_HALVINGS,
+    Synthesis,
     _deterministic_witness_pair,
     _expected_terms_book,
     _orient_cycle,
+    deterministic_synthesis,
+    dutch_book_synthesis,
 )
 from dutchbook.model import ONE, ZERO, has_deterministic_continuation
 
@@ -488,3 +492,98 @@ class TestSparseClassifierMatchesDenseReference:
             assert verdict.is_dutch_book == is_book
             books += is_book
         assert books > 0
+
+
+@pytest.fixture
+def uncapped_references(monkeypatch):
+    """Lift the reference loops' halving cap (they read it from this module
+    when called), so they return the first book of the whole sequence."""
+    monkeypatch.setattr(sys.modules[__name__], "MAX_EPSILON_HALVINGS", 1000)
+
+
+class TestSynthesisRecord:
+    def test_dutch_book_reports_are_those_of_its_book(self):
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        synthesis = dutch_book_synthesis(env, mu)
+        assert isinstance(synthesis, Synthesis)
+        assert synthesis.book == synthesize_dutch_book(env, mu)
+        assert synthesis.acceptance == accepts_system(env, mu, synthesis.book)
+        assert synthesis.verdict == classify_dutch_book(env, synthesis.book)
+
+    def test_deterministic_reports_are_those_of_its_book(self):
+        env, mu = fx.nested_environment(), fx.drift_beliefs()
+        synthesis = deterministic_synthesis(env, mu)
+        assert synthesis.book == synthesize_deterministic_db(env, mu)
+        assert synthesis.acceptance == accepts_system(env, mu, synthesis.book)
+        assert synthesis.verdict == classify_deterministic(env, synthesis.book)
+
+    def test_no_epsilon_left_raises_at_once(self, monkeypatch):
+        # A state worth 0 at eps = 0 and 1 at eps = 1 is positive at every
+        # eps > 0, so hi = 0: no eps is tried and no book is built.
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        witness = check_complete_consistency(env, mu).violation
+        anchor = _orient_cycle(witness.cycle, witness.product)[0].src
+        other = next(s for s in env.states if s != anchor)
+        real, classified = gambles.classify_dutch_book, []
+
+        def skewed(env, g):
+            verdict = real(env, g)
+            verdict.per_state[other] = F(len(classified))
+            classified.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(gambles, "classify_dutch_book", skewed)
+        monkeypatch.setattr(gambles, "accepts_system", None)
+        with pytest.raises(InternalError, match="epsilon shrinking exhausted"):
+            dutch_book_synthesis(env, mu)
+        assert len(classified) == 2
+
+
+class TestLargeEpsilon:
+    """An epsilon far above every usable one is shrunk past, not reported as
+    an exhausted witness cycle."""
+
+    def test_dutch_book_at_two_to_the_seventy(self, uncapped_references):
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        params = SynthesisParams(epsilon=F(2**70))
+        synthesis = dutch_book_synthesis(env, mu, params)
+        assert synthesis.acceptance.accepted and synthesis.verdict.is_dutch_book
+        assert synthesis.book == synthesize_dutch_book(env, mu, params)
+        assert synthesis.book == reference_synthesize_dutch_book(env, mu, params)
+
+    def test_deterministic_at_two_to_the_seventy(self, uncapped_references):
+        env, mu = fx.nested_environment(), fx.drift_beliefs()
+        synthesis = deterministic_synthesis(env, mu, F(2**70))
+        assert synthesis.acceptance.accepted and synthesis.verdict.is_deterministic_db
+        assert synthesis.book == synthesize_deterministic_db(env, mu, F(2**70))
+        assert synthesis.book == reference_synthesize_deterministic_db(env, mu, F(2**70))
+
+    @pytest.mark.parametrize(
+        "params",
+        [SynthesisParams(F(2**70)), SynthesisParams(F(10**9), F(2, 3))],
+        ids=["2^70,1/2", "10^9,2/3"],
+    )
+    def test_dutch_book_matches_uncapped_reference(self, uncapped_references, params):
+        rng, compared = random.Random(24), 0
+        while compared < 30:
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            if not perturbable(env):
+                continue
+            mu = inconsistent_beliefs(rng, env)
+            new = outcome(synthesize_dutch_book, env, mu, params)
+            assert isinstance(new, dict)
+            assert new == outcome(reference_synthesize_dutch_book, env, mu, params)
+            compared += 1
+
+    @pytest.mark.parametrize("epsilon", [F(2**70), F(10**30, 7)], ids=["2^70", "10^30/7"])
+    def test_deterministic_matches_uncapped_reference(self, uncapped_references, epsilon):
+        rng, compared = random.Random(25), 0
+        while compared < 30:
+            env = point_mass_tree_environment(rng)
+            mu = forward_inconsistent_beliefs(rng, env)
+            if mu is None or not has_deterministic_continuation(env):
+                continue
+            new = outcome(synthesize_deterministic_db, env, mu, epsilon)
+            assert isinstance(new, dict)
+            assert new == outcome(reference_synthesize_deterministic_db, env, mu, epsilon)
+            compared += 1

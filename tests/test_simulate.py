@@ -111,6 +111,23 @@ class TestRunRounds:
         with pytest.raises(InputError, match=message):
             SimConfig(rounds, seed, FixedState("sq"))
 
+    def test_empty_belief_system_rejected(self):
+        with pytest.raises(InputError, match="invalid belief system: .*undefined belief"):
+            run_rounds(
+                fx.larry_environment(), {}, fx.larry_book(), SimConfig(10, 0, FixedState("sq"))
+            )
+
+    def test_float_belief_row_rejected(self):
+        # A float row would gate the book through float acceptance.
+        mu = fx.regret_beliefs()
+        mu["sm"] = {"sq": 0.25, "ma": 0.75}
+        with pytest.raises(InputError, match="invalid belief system: .*non-rational mass"):
+            larry_run(rounds=10, mu=mu)
+
+    def test_beliefs_validated_before_the_state(self):
+        with pytest.raises(InputError, match="invalid belief system"):
+            larry_run(rounds=10, mu={"sq": {}}, state="nowhere")
+
     def test_float_prior_rejected(self):
         # Floats that sum to 1 in floating point would drive the draws.
         prior = Prior({"sq": 0.1, "ma": 0.2, "pa": 0.7})
