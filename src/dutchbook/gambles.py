@@ -28,8 +28,6 @@ from .odds import OddsLink
 # A gamble system maps each contingency to a state->payoff map (missing = 0).
 GambleSystem = dict[str, dict[str, Fraction]]
 
-MAX_EPSILON_HALVINGS = 64
-
 
 @dataclass(frozen=True)
 class SynthesisParams:
@@ -107,6 +105,9 @@ def accepts_system(
     for h in env.forest.nodes:
         gamble = g.get(h, {})
         belief = mu[h]
+        for s in gamble:
+            if type(belief.get(s, ZERO)) is not Fraction:
+                _require_rational(belief[s], "mu[%r]: non-rational mass at %r", h, s)
         detail[h] = (expected_payoff(belief, gamble), is_willing_to_accept(belief, gamble))
     return AcceptanceReport(all(ok for _, ok in detail.values()), detail)
 
@@ -196,14 +197,25 @@ def dutch_book_synthesis(
 
     Every book entry is affine in eps, so each state's objective expectation
     is a + eps * d: a from the book at eps = 0, d from one more classification
-    at eps = 1 (a state with a = d = 0 is 0 at every eps and is left out). A
-    state with d > 0 is positive at every eps above -a/d, so no eps above
-    hi = min(-a/d over d > 0) makes a book; those of epsilon * shrink_factor^k
-    are skipped by comparison (hi <= 0 leaves none), and the capped scan then
-    takes the first eps whose values make a Dutch book. The book is built once.
+    at eps = 1 (a state with a = d = 0 is 0 at every eps and is left out).
+
+    The book is a Dutch book for exactly 0 < eps <= hi = min(-a/d over d > 0).
+    Proof: let link m of the oriented witness run from t_m to t_m+1 at h_m,
+    with g(t_m | h_m) = a_m and g(t_m+1 | h_m) = b_m, and t_M = t_0 the
+    anchor; the t_m are distinct and M >= 2. For 0 < m < M, t_m is worth
+    p(h_m-1|t_m) * b_m-1 + p(h_m|t_m) * a_m = -eps * p(h_m|t_m) < 0 by the
+    recursion; states off the cycle are worth 0. The anchor is worth
+    -p(h_0|t_0) * (1 - r) + eps * d, r < 1 being the product or its inverse,
+    and d > 0: b_0 = q_0 + eps and b_m = (rho_m * b_m-1 + eps) * q_m + eps,
+    where q_m = mu(t_m|h_m)/mu(t_m+1|h_m) >= 0 and rho_m =
+    p(h_m-1|t_m)/p(h_m|t_m) > 0, so b_M-1 has an eps coefficient c >= 1 and
+    d = p(h_M-1|t_0) * c. So only the anchor can be positive, iff eps > hi.
+
+    eps is the first epsilon * shrink_factor^k <= hi (hi <= 0 leaves none),
+    found by exact comparisons of O(log k) powers; the book is built once.
     Acceptance holds for every eps > 0: each cycle contingency's expectation
-    is a sum of eps * mu(s^m | h^m) terms, and mu(s^m | h^m) > 0 because the
-    oriented witness has no infinite link; other contingencies get no gamble.
+    is a sum of eps * mu(t_m+1 | h_m) terms, positive as the oriented witness
+    has no infinite link; other contingencies get no gamble.
     """
     result = check_complete_consistency(env, mu)
     if result.consistent:
@@ -211,36 +223,42 @@ def dutch_book_synthesis(
     witness = result.violation
     cycle = _orient_cycle(witness.cycle, witness.product)
 
-    # Telescoping identity at eps = 0: the anchor state's objective
-    # expectation is exactly -p(h^1|s) * (1 - r).
-    anchor, h1 = cycle[0].src, cycle[0].h
+    # Telescoping identity at eps = 0: the anchor's objective expectation
+    # is exactly -p(h_0|t_0) * (1 - r).
+    anchor, h0 = cycle[0].src, cycle[0].h
     r = ZERO
     if witness.product.is_finite:
         r = min(witness.product.value, 1 / witness.product.value)
     v0 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO)).per_state
-    if v0[anchor] != -env.reach[h1][anchor] * (ONE - r):
+    if v0[anchor] != -env.reach[h0][anchor] * (ONE - r):
         raise InternalError("telescoping identity failed on witness cycle")
     v1 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ONE)).per_state
 
     terms = [(v0[s], v1[s] - v0[s]) for s in env.states if v0[s] or v1[s]]
-    eps = params.epsilon
-    hi = min((-a / d for a, d in terms if d > 0), default=eps)
+    hi = min(-a / d for a, d in terms if d > 0)
     if hi <= 0:
         raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
-    while eps > hi:
-        eps *= params.shrink_factor
-    for _ in range(MAX_EPSILON_HALVINGS):
-        values = [a + eps * d for a, d in terms]
-        if all(v <= 0 for v in values) and any(v < 0 for v in values):
-            break
-        eps *= params.shrink_factor
-    else:
-        raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+    eps = _first_power_at_most(params.epsilon, params.shrink_factor, hi)
     g = _expected_terms_book(env, mu, cycle, eps)
     acceptance, verdict = accepts_system(env, mu, g), classify_dutch_book(env, g)
     if not (acceptance.accepted and verdict.is_dutch_book):
         raise InternalError("telescoping book failed verification")
     return Synthesis(g, acceptance, verdict)
+
+
+def _first_power_at_most(eps: Fraction, shrink: Fraction, hi: Fraction) -> Fraction:
+    """The first eps * shrink^k <= hi over k >= 0 (0 < shrink < 1, hi > 0):
+    k is bracketed by doubling and then bisected, so O(log k) powers are
+    formed and compared exactly."""
+    if eps <= hi:
+        return eps
+    lo, up = 0, 1  # eps * shrink^lo > hi throughout; eps * shrink^up <= hi once bracketed
+    while eps * shrink**up > hi:
+        lo, up = up, 2 * up
+    while up - lo > 1:
+        mid = (lo + up) // 2
+        lo, up = (mid, up) if eps * shrink**mid > hi else (lo, mid)
+    return eps * shrink**up
 
 
 def _deterministic_witness_pair(

@@ -150,6 +150,9 @@ def discounted_odds_ratio(
         raise DomainError("discounted odds ratio requires distinct states")
     a = mu[h].get(s, ZERO)
     b = mu[h].get(sp, ZERO)
+    for state, mass in ((s, a), (sp, b)):
+        if type(mass) is not Fraction:
+            _require_rational(mass, "mu[%r]: non-rational mass at %r", h, state)
     if a == 0 and b == 0:
         raise IndeterminateRatio(f"both beliefs zero at {h!r} for {s!r},{sp!r}")
     return _ratio(a / reach[s], b / reach[sp])
@@ -297,7 +300,7 @@ class _Analysis:
                 return
             cond[ca].setdefault(cb, e)
 
-        cyc = _condensation_cycle(cond)
+        cyc, self.comp_levels = _condensation_walk(cond)
         if cyc is not None:
             links: list[OddsLink] = []
             for i, e in enumerate(cyc):
@@ -306,9 +309,6 @@ class _Analysis:
                 if e.dst != nxt.src:
                     links.extend(self._tree_path(e.dst, nxt.src))
             self.violation = _make_violation(links)
-            return
-
-        self.comp_levels = _dag_levels(cond)
 
     def partition(self) -> PlausibilityPartition:
         if self.violation is not None:
@@ -329,61 +329,38 @@ class _Analysis:
         return CoherenceCertificate(part, potentials)
 
 
-def _dag_levels(cond: dict[int, dict[int, OddsLink]]) -> dict[int, int]:
-    """Level of each node of an acyclic condensation: 1 with no successor,
-    else one more than its deepest successor. An explicit stack, as chains
-    can be long."""
+def _condensation_walk(
+    cond: dict[int, dict[int, OddsLink]]
+) -> tuple[list[OddsLink] | None, dict[int, int]]:
+    """One depth-first walk of the condensation in sorted order, on an
+    explicit stack of (component, remaining successors) frames, as chains can
+    be long. Returns the first directed cycle of zero edges, closed along the
+    frames by a successor whose frame is still open; else None and each
+    component's level, set as its frame closes (so every successor has one):
+    1 with no successor, else one more than its deepest successor."""
     levels: dict[int, int] = {}
-    for c in cond:
-        todo = [c]
-        while todo:
-            x = todo[-1]
-            pending = [d for d in cond[x] if d not in levels]
-            if pending:
-                todo.extend(pending)
-            else:
-                levels[x] = 1 + max((levels[d] for d in cond[x]), default=0)
-                todo.pop()
-    return levels
-
-
-def _condensation_cycle(cond: dict[int, dict[int, OddsLink]]) -> list[OddsLink] | None:
-    """Directed cycle of zero edges across components, or None.
-
-    Depth-first in sorted order, on an explicit stack of (component,
-    remaining successors) frames; `stack` holds the tree edge into each
-    frame but the first.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in cond}
+    open_frames: set[int] = set()
     for root in sorted(cond):
-        if color[root] != WHITE:
+        if root in levels:
             continue
-        color[root] = GRAY
         frames = [(root, iter(sorted(cond[root])))]
-        stack: list[tuple[int, OddsLink]] = []
+        open_frames.add(root)
         while frames:
             c, succs = frames[-1]
             for d in succs:
-                if color[d] == GRAY:
-                    # unwind the stack back to d
-                    cyc = [cond[c][d]]
-                    for node, edge in reversed(stack):
-                        cyc.append(edge)
-                        if node == d:
-                            break
-                    return list(reversed(cyc))
-                if color[d] == WHITE:
-                    color[d] = GRAY
-                    stack.append((c, cond[c][d]))
+                if d in open_frames:
+                    path = [x for x, _ in frames]
+                    path = path[path.index(d):] + [d]
+                    return [cond[x][y] for x, y in zip(path, path[1:])], levels
+                if d not in levels:
+                    open_frames.add(d)
                     frames.append((d, iter(sorted(cond[d]))))
                     break
             else:
-                color[c] = BLACK
+                levels[c] = 1 + max((levels[d] for d in cond[c]), default=0)
+                open_frames.remove(c)
                 frames.pop()
-                if stack:
-                    stack.pop()
-    return None
+    return None, levels
 
 
 def _make_violation(cycle: list[OddsLink]) -> CoherenceViolation:

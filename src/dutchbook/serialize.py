@@ -329,5 +329,7 @@ def load_file(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise InputError(f"{path}: invalid JSON ({exc})")

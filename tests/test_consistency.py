@@ -12,6 +12,7 @@ from dutchbook import (
     check_forward_consistency,
     derive_beliefs,
     extract_lcps,
+    generalized_odds_ratio,
     validate_lcps,
     verify_ccbs,
 )
@@ -140,6 +141,42 @@ class TestCompleteConsistency:
             result = check_complete_consistency(env, mu)
             assert result.consistent
             assert verify_ccbs(env, mu, result.lcps)
+
+
+def relabeled(rng, env, mu):
+    """The same environment and beliefs with every contingency renamed to an
+    id drawn out of order; the forest keeps its node order."""
+    nodes = env.forest.nodes
+    name = dict(zip(nodes, (f"c{k}" for k in rng.sample(range(100), len(nodes)))))
+    forest = ContingencyForest(
+        [name[h] for h in nodes], {name[c]: name[p] for c, p in env.forest.parent.items()}
+    )
+    eta = {s: {name[leaf]: m for leaf, m in row.items()} for s, row in env.eta.items()}
+    return build_environment(env.states, forest, eta), {name[h]: mu[h] for h in nodes}
+
+
+class TestContingencyRelabeling:
+    def test_verdicts_and_lcps_survive_relabeling(self):
+        rng, seen = random.Random(31), {True: 0, False: 0}
+        for i in range(300):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = derive_beliefs(env, random_lcps(rng, env.states))
+            if i % 2:
+                h = rng.choice(env.forest.nodes)
+                mu[h] = weights(rng, env.consistent_states[h])
+            renamed, renamed_mu = relabeled(rng, env, mu)
+            before = check_complete_consistency(env, mu)
+            after = check_complete_consistency(renamed, renamed_mu)
+            assert before.consistent == after.consistent
+            assert before.lcps == after.lcps
+            if not before.consistent:
+                # The witnesses may differ; each must re-evaluate to its product.
+                for e, m, result in ((env, mu, before), (renamed, renamed_mu, after)):
+                    product = result.violation.product
+                    assert generalized_odds_ratio(e, m, result.violation.cycle) == product
+                    assert not product.is_one
+            seen[before.consistent] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 def pair_chain(n, closed):

@@ -1,6 +1,8 @@
 import random
 import sys
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -35,10 +37,10 @@ from dutchbook.errors import (
 )
 from dutchbook import fixtures as fx
 from dutchbook.gambles import (
-    MAX_EPSILON_HALVINGS,
     Synthesis,
     _deterministic_witness_pair,
     _expected_terms_book,
+    _first_power_at_most,
     _orient_cycle,
     deterministic_synthesis,
     dutch_book_synthesis,
@@ -94,6 +96,12 @@ class TestAcceptance:
         g = {"sm": {"pa": F(1)}}
         with pytest.raises(DomainError, match="outside S"):
             accepts_system(env, fx.regret_beliefs(), g)
+
+    def test_float_mass_rejected(self):
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        mu["sm"] = {"sq": 0.1, "ma": 0.9}
+        with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
+            accepts_system(env, mu, {"sm": {"sq": F(8), "ma": F(7)}})
 
     @pytest.mark.parametrize(
         "entry",
@@ -349,7 +357,11 @@ class TestAcceptedGambleGenerator:
 
 # Reference implementations: the epsilon-halving retry loops that the closed
 # forms replaced (less the warning logged when the drag term was dropped),
-# kept to check that the closed forms pick the same epsilon and book.
+# kept to check that the closed forms pick the same epsilon and book. They
+# give up after MAX_EPSILON_HALVINGS tries, as the library once did.
+
+MAX_EPSILON_HALVINGS = 64
+
 
 def reference_synthesize_dutch_book(env, mu, params=SynthesisParams()):
     result = check_complete_consistency(env, mu)
@@ -587,3 +599,85 @@ class TestLargeEpsilon:
             assert isinstance(new, dict)
             assert new == outcome(reference_synthesize_deterministic_db, env, mu, epsilon)
             compared += 1
+
+
+def linear_epsilon(eps, shrink, hi):
+    """The skip that `_first_power_at_most` replaced: one multiplication per
+    epsilon above hi."""
+    while eps > hi:
+        eps *= shrink
+    return eps
+
+
+def telescoping_terms(env, mu):
+    """The oriented witness cycle and each state's (a, d), its objective
+    expectation being a + eps * d."""
+    witness = check_complete_consistency(env, mu).violation
+    cycle = _orient_cycle(witness.cycle, witness.product)
+    v0 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO)).per_state
+    v1 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ONE)).per_state
+    return cycle, {s: (v0[s], v1[s] - v0[s]) for s in env.states}
+
+
+class TestEpsilonSearch:
+    """The book set is (0, hi], and the doubling-and-bisection search picks
+    the epsilon the linear skip picked."""
+
+    PARAMS = [
+        SynthesisParams(),
+        SynthesisParams(F(1, 8), F(1, 4)),
+        SynthesisParams(F(3), F(2, 3)),
+        SynthesisParams(F(1, 1000), F(1, 2)),
+    ]
+
+    @staticmethod
+    def seeded_instances(seed, count):
+        rng = random.Random(seed)
+        while count:
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            if perturbable(env):
+                yield env, inconsistent_beliefs(rng, env)
+                count -= 1
+
+    @staticmethod
+    def check_search(env, mu, params_list):
+        cycle, terms = telescoping_terms(env, mu)
+        anchor = cycle[0].src
+        on_cycle = {link.src for link in cycle}
+        # Only the anchor grows with eps; no other state is ever positive.
+        assert [s for s, (a, d) in terms.items() if d > 0] == [anchor]
+        assert terms[anchor][0] < 0
+        for s, (a, d) in terms.items():
+            if s != anchor:
+                assert a == 0 and (d < 0 if s in on_cycle else d == 0)
+        a, d = terms[anchor]
+        hi = -a / d
+        book = partial(_expected_terms_book, env, mu, cycle)
+        assert classify_dutch_book(env, book(hi)).is_dutch_book
+        assert not classify_dutch_book(env, book(hi * F(101, 100))).is_dutch_book
+        for params in params_list:
+            eps = linear_epsilon(params.epsilon, params.shrink_factor, hi)
+            assert _first_power_at_most(params.epsilon, params.shrink_factor, hi) == eps
+            assert synthesize_dutch_book(env, mu, params) == book(eps)
+
+    def test_matches_linear_skip_on_seeded_instances(self):
+        for env, mu in self.seeded_instances(26, 400):
+            self.check_search(env, mu, self.PARAMS)
+
+    def test_matches_linear_skip_near_one(self):
+        near_one = [SynthesisParams(F(2**70), F(99, 100))]
+        self.check_search(fx.larry_environment(), fx.regret_beliefs(), near_one)
+        for env, mu in self.seeded_instances(27, 10):
+            self.check_search(env, mu, near_one)
+
+    def test_far_search_is_fast(self):
+        shrink, hi = F(999, 1000), F(1, 3)
+        started = time.perf_counter()
+        eps = _first_power_at_most(F(2**70), shrink, hi)
+        assert time.perf_counter() - started < 2.0
+        assert eps <= hi < eps / shrink
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(1, 4), F(2, 3), F(1, 2)])
+    def test_first_power_at_most(self, eps):
+        expected = linear_epsilon(eps, F(1, 2), F(1, 3))
+        assert _first_power_at_most(eps, F(1, 2), F(1, 3)) == expected

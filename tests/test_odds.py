@@ -31,7 +31,7 @@ from dutchbook.errors import (
 )
 from dutchbook import fixtures as fx
 from dutchbook.model import ONE, ZERO
-from dutchbook.odds import _condensation_cycle, _dag_levels
+from dutchbook.odds import _condensation_walk
 
 from conftest import random_lcps, weights
 
@@ -103,6 +103,15 @@ class TestDiscountedOddsRatio:
             discounted_odds_ratio(env, mu, "sm", "sq", "sq")
         with pytest.raises(DomainError):
             discounted_odds_ratio(env, mu, "sm", "sq", "pa")  # pa not in S(sm)
+
+
+    def test_float_mass_rejected(self):
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        mu["sm"] = {"sq": 0.1, "ma": 0.9}
+        with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
+            discounted_odds_ratio(env, mu, "sm", "sq", "ma")
+        with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
+            generalized_odds_ratio(env, mu, [("sm", "sq", "ma"), ("sm", "ma", "sq")])
 
 
 class TestGeneralizedOddsRatio:
@@ -225,8 +234,8 @@ class TestPlausibilityLevels:
 
 
 # Reference implementations: the recursive condensation DFS and level memo
-# that the explicit-stack versions replaced, kept to check that they visit
-# in the same order and return the same witness and levels.
+# that the explicit-stack walk replaced, kept to check that it visits in the
+# same order and returns the same witness and levels.
 
 def reference_condensation_cycle(cond):
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -288,7 +297,7 @@ class TestCondensationWalks:
         rng, cyclic = random.Random(41), 0
         for _ in range(500):
             cond = random_condensation(rng, acyclic=rng.random() < 0.3)
-            found = _condensation_cycle(cond)
+            found, _ = _condensation_walk(cond)
             assert found == reference_condensation_cycle(cond)
             cyclic += found is not None
         assert 100 < cyclic < 500
@@ -297,15 +306,16 @@ class TestCondensationWalks:
         rng = random.Random(42)
         for _ in range(500):
             cond = random_condensation(rng, acyclic=True)
-            assert _dag_levels(cond) == reference_dag_levels(cond)
+            assert _condensation_walk(cond) == (None, reference_dag_levels(cond))
 
     def test_long_chain_needs_no_recursion(self):
         n = 5000
         chain = {c: ({c + 1: f"{c}->{c + 1}"} if c + 1 < n else {}) for c in range(n)}
-        assert _condensation_cycle(chain) is None
-        assert _dag_levels(chain)[0] == n
+        cycle, levels = _condensation_walk(chain)
+        assert cycle is None
+        assert levels[0] == n
         chain[n - 1] = {0: f"{n - 1}->0"}
-        assert len(_condensation_cycle(chain)) == n
+        assert len(_condensation_walk(chain)[0]) == n
 
 
 # Reference implementation: the edge-list coherence analysis that the weight
@@ -437,7 +447,7 @@ class ReferenceAnalysis:
                 self.violation = reference_make_violation([e] + self._tree_path(e.dst, e.src))
                 return "inside"
             cond[ca].setdefault(cb, e)
-        cyc = _condensation_cycle(cond)
+        cyc = reference_condensation_cycle(cond)
         if cyc is not None:
             links = []
             for i, e in enumerate(cyc):
@@ -447,7 +457,7 @@ class ReferenceAnalysis:
                     links.extend(self._tree_path(e.dst, nxt.src))
             self.violation = reference_make_violation(links)
             return "cycle"
-        self.comp_levels = _dag_levels(cond)
+        self.comp_levels = reference_dag_levels(cond)
         return "certificate"
 
     def outcome(self):

@@ -134,3 +134,18 @@ class TestFiles:
         bad.write_text("{nope")
         with pytest.raises(InputError, match="invalid JSON"):
             sz.load_file(str(bad))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"1" + b"0" * 5000, b"\xff\xfe{}", b'{"a": 1' + b"0" * 4400 + b"}"],
+        ids=["5001-digit-document", "not-utf-8", "4401-digit-value"],
+    )
+    def test_unreadable_json_is_input_error(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(InputError, match="invalid JSON"):
+            sz.load_file(str(bad))
+
+    def test_directory_is_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read"):
+            sz.load_file(str(tmp_path))
