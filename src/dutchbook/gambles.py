@@ -72,11 +72,20 @@ class Synthesis(NamedTuple):
 
 
 def expected_payoff(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) -> Fraction:
-    return sum((nu.get(s, ZERO) * x for s, x in gamble.items()), ZERO)
+    """Exact expectation; a non-rational mass or payoff raises DomainError."""
+    total = ZERO
+    for s, x in gamble.items():
+        m = nu.get(s, ZERO)
+        if type(m) is not Fraction or type(x) is not Fraction:
+            _require_rational(m, "non-rational mass at %r", s)
+            _require_rational(x, "gamble pays non-rational %r on %r", x, s)
+        total += m * x
+    return total
 
 
 def is_willing_to_accept(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) -> bool:
-    """Positive expectation, or zero expectation with no loss on nu-null states."""
+    """Positive expectation, or zero expectation with no loss on nu-null states
+    (non-rational masses and payoffs are rejected as in `expected_payoff`)."""
     value = expected_payoff(nu, gamble)
     if value > 0:
         return True
@@ -302,7 +311,8 @@ def deterministic_synthesis(
     Requires deterministic continuation, so every path of a state in S(h')
     that passes h reaches h'. With odds x at h above y at h', the book is
     g(.|h) = {s: 1, s': eps/3 - x}, g(.|h') = {s: -1 - d, s': y + eps/3}
-    for the first eps of epsilon, epsilon/2, ... below x - y > 0.
+    for the first eps of epsilon, epsilon/2, ... below x - y > 0, that is
+    eps = epsilon / 2^k with k the bit length of floor(epsilon / (x - y)).
     Proof: the expectation at h is mu(s'|h)*eps/3 > 0, at h' it is
     mu(s'|h')*(eps/3 - y*d), i.e. mu(s'|h')*eps*(1/3 - y^2/4) for the drag
     d = y*eps/4; so d = y*eps/4 iff 3y^2 < 4 (no rational y has 3y^2 = 4),
@@ -331,9 +341,8 @@ def deterministic_synthesis(
         )
     h, hp, s, sp, x, y = found
 
-    eps = epsilon if epsilon is not None else (x - y) / 2
-    while eps >= x - y:
-        eps /= 2
+    eps = Fraction(epsilon) if epsilon is not None else (x - y) / 2
+    eps /= 2 ** (eps // (x - y)).bit_length()
     drag = y * eps / 4 if 3 * y * y < 4 else ZERO
     g: GambleSystem = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}
     acceptance, verdict = accepts_system(env, mu, g), classify_deterministic(env, g)

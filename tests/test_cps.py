@@ -1,10 +1,18 @@
+import random
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from dutchbook import (
     CompleteCps,
+    ContingencyForest,
+    CpsViolation,
     Lcps,
+    SiniscalchiViolation,
+    build_environment,
     check_complete_consistency,
     check_siniscalchi,
     cps_to_lcps,
@@ -13,9 +21,11 @@ from dutchbook import (
     validate_complete_cps,
 )
 from dutchbook.errors import InputError, NonUniformReach
+from dutchbook.model import ONE, ZERO, mass_of
 from dutchbook import fixtures as fx
 
-from conftest import random_lcps
+from conftest import random_lcps, weights
+from test_odds import coherence_instances
 
 F = Fraction
 STATES = ("sq", "ma", "pa")
@@ -147,3 +157,170 @@ class TestSiniscalchi:
             mu = derive_beliefs(env, random_lcps(rng, env.states))
             assert check_siniscalchi(env, mu) is None
             assert check_complete_consistency(env, mu).consistent
+
+
+# Reference implementations: the scans `validate_complete_cps` and
+# `check_siniscalchi` ran before they were cut to the checks that can fail
+# (every nested pair (C, D) with every e in D; every permutation of
+# contingencies with singleton and full-intersection events).
+
+
+def reference_validate_complete_cps(cps):
+    for c in cps.subsets():
+        if c not in cps.conditionals:
+            raise InputError(f"missing subset entry {sorted(c)}")
+        row = cps.conditionals[c]
+        if any(m < 0 for m in row.values()):
+            return CpsViolation(c, None, None, min(row.values()), ZERO)
+        if any(s not in cps.states for s in row):
+            raise InputError(f"row {sorted(c)} has unknown states")
+        total = sum(row.values(), ZERO)
+        on_c = mass_of(row, c)
+        if total != ONE or on_c != ONE:
+            return CpsViolation(c, None, None, on_c, ONE)
+    for c in cps.subsets():
+        row_c = cps.conditionals[c]
+        for k in range(1, len(c)):
+            for d_tuple in combinations(sorted(c, key=cps.states.index), k):
+                d = frozenset(d_tuple)
+                row_d = cps.conditionals[d]
+                d_mass = mass_of(row_c, d)
+                for e in sorted(d, key=cps.states.index):
+                    lhs = row_c.get(e, ZERO)
+                    rhs = row_d.get(e, ZERO) * d_mass
+                    if lhs != rhs:
+                        return CpsViolation(c, d, e, lhs, rhs)
+    return None
+
+
+def reference_check_siniscalchi(env, mu, max_len=None):
+    if max_len is None:
+        max_len = len(env.forest.nodes)
+    contingencies = env.forest.nodes
+    supports = {h: frozenset(env.consistent_states[h]) for h in contingencies}
+    for n in range(2, min(max_len, len(contingencies)) + 1):
+        for seq in permutations(contingencies, n):
+            ends = supports[seq[0]] & supports[seq[-1]]
+            if not ends:
+                continue
+            left_prod = right_prod = ONE
+            for a, b in zip(seq, seq[1:]):
+                overlap = supports[a] & supports[b]
+                left_prod *= mass_of(mu[b], overlap)
+                right_prod *= mass_of(mu[a], overlap)
+            events = [(s,) for s in sorted(ends, key=env.state_index.get)]
+            if len(ends) > 1:
+                events.append(tuple(sorted(ends, key=env.state_index.get)))
+            for event in events:
+                lhs = mass_of(mu[seq[0]], event) * left_prod
+                rhs = mass_of(mu[seq[-1]], event) * right_prod
+                if lhs != rhs:
+                    return SiniscalchiViolation(seq, event, lhs, rhs)
+    return None
+
+
+def tampered_cps(rng):
+    """The CPS of a random LCPS over at most six shuffled states, with zero
+    to three rows of two or more states re-drawn as distributions."""
+    states = [f"s{i}" for i in range(rng.randint(1, 6))]
+    rng.shuffle(states)
+    cps = lcps_to_cps(random_lcps(rng, states), tuple(states))
+    wide = [c for c in cps.subsets() if len(c) >= 2]
+    for c in rng.sample(wide, min(len(wide), rng.randint(0, 3))):
+        cps.conditionals[c] = weights(rng, sorted(c), full_support=rng.random() < 0.5)
+    return cps
+
+
+def uniform_reach_environment(rng):
+    """Two to four distinct pairs of three or four states, sometimes with a
+    triple, as flat contingencies each reached with the same probability 1/d,
+    d being the most contingencies a state lies in; a state in fewer gets a
+    singleton contingency for the rest of its mass. Two disjoint contingencies
+    may be grouped under a parent (reached with 1/d too). Nodes are shuffled
+    and number at most five."""
+    while True:
+        states = [f"s{i}" for i in range(rng.randint(3, 4))]
+        pairs = list(combinations(states, 2))
+        blocks = rng.sample(pairs, rng.randint(2, min(4, len(pairs))))
+        if rng.random() < 0.5:
+            blocks.append(tuple(rng.sample(states, 3)))
+        degree = Counter(s for block in blocks for s in block)
+        share = Fraction(1, max(degree.values()))
+        eta = {s: {f"h{i}": share for i, block in enumerate(blocks) if s in block} for s in states}
+        for s in states:
+            if degree[s] * share < 1:
+                eta[s][f"x{s}"] = 1 - degree[s] * share
+        nodes, parent = list(dict.fromkeys(h for row in eta.values() for h in row)), {}
+        disjoint = [
+            (f"h{i}", f"h{j}")
+            for (i, a), (j, b) in combinations(enumerate(blocks), 2)
+            if not set(a) & set(b)
+        ]
+        if disjoint and rng.random() < 0.5:
+            parent = dict.fromkeys(rng.choice(disjoint), "g")
+            nodes.append("g")
+        if len(nodes) <= 5:
+            rng.shuffle(nodes)
+            return build_environment(states, ContingencyForest(nodes, parent), eta)
+
+
+def cyclic_window_environment(k):
+    """k states and k flat contingencies, contingency i over the cyclic
+    window of states i, i+1, i+2: each state lies in three windows."""
+    states = [f"s{i}" for i in range(k)]
+    nodes = [f"w{i}" for i in range(k)]
+    third = Fraction(1, 3)
+    eta = {s: {nodes[(i - j) % k]: third for j in range(3)} for i, s in enumerate(states)}
+    return build_environment(states, ContingencyForest(nodes, {}), eta)
+
+
+class TestMatchesFullScans:
+    def test_complete_cps_first_violation(self):
+        rng, seen = random.Random(0xC95), Counter()
+        for _ in range(2000):
+            cps = tampered_cps(rng)
+            outcome = validate_complete_cps(cps)
+            assert repr(outcome) == repr(reference_validate_complete_cps(cps))
+            if outcome is None:
+                seen["valid"] += 1
+            else:
+                assert outcome.d is not None and len(outcome.d) == 2
+                seen["violating"] += 1
+                seen["in a row of four or more"] += len(outcome.c) >= 4
+        assert seen["valid"] >= 500 and seen["violating"] >= 500, seen
+        assert seen["in a row of four or more"] >= 50, seen
+
+    def test_siniscalchi_first_violation(self):
+        seen = Counter()
+        for env, mu in coherence_instances(0x51E, 1000, uniform_reach_environment):
+            for max_len in (None, 2, 3):
+                outcome = check_siniscalchi(env, mu, max_len)
+                assert repr(outcome) == repr(reference_check_siniscalchi(env, mu, max_len))
+                if outcome is None:
+                    seen["none"] += max_len is None
+                    continue
+                seen[min(len(outcome.sequence), 4)] += 1
+                first, last = outcome.sequence[0], outcome.sequence[-1]
+                ends = set(env.consistent_states[first]) & set(env.consistent_states[last])
+                seen["multi-state ends"] += len(ends) > 1
+        assert seen[2] >= 100 and seen[3] >= 50 and seen[4] >= 1 and seen["none"] >= 300, seen
+        assert seen["multi-state ends"] >= 20, seen
+
+
+class TestScale:
+    def test_cyclic_windows_of_eight(self):
+        env = cyclic_window_environment(8)
+        mu = derive_beliefs(env, Lcps(({s: Fraction(1, 8) for s in env.states},)))
+        started = time.perf_counter()
+        assert check_siniscalchi(env, mu) is None
+        assert time.perf_counter() - started < 2.0
+
+    def test_twelve_state_two_level_cps(self):
+        states = tuple(f"s{i}" for i in range(12))
+        lcps = Lcps(
+            ({s: Fraction(1, 7) for s in states[:7]}, {s: Fraction(1, 5) for s in states[7:]})
+        )
+        cps = lcps_to_cps(lcps, states)
+        started = time.perf_counter()
+        assert validate_complete_cps(cps) is None
+        assert time.perf_counter() - started < 3.0

@@ -103,6 +103,15 @@ class TestAcceptance:
         with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
             accepts_system(env, mu, {"sm": {"sq": F(8), "ma": F(7)}})
 
+    def test_expected_payoff_rejects_float_mass(self):
+        with pytest.raises(DomainError, match=r"^non-rational mass at 'a'$"):
+            expected_payoff({"a": 0.1, "b": 0.9}, {"a": F(8), "b": F(7)})
+        assert expected_payoff({"a": 1}, {"a": 2}) == 2  # ints are rational
+
+    def test_is_willing_to_accept_rejects_float_payoff(self):
+        with pytest.raises(DomainError, match=r"^gamble pays non-rational 0.5 on 'b'$"):
+            is_willing_to_accept({"a": F(1)}, {"a": F(1), "b": 0.5})
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -228,6 +237,21 @@ class TestSynthesizeDeterministic:
         assert report.accepted
         assert report.per_contingency["h0"][0] == F(1, 18)
         assert report.per_contingency["h1"][0] == F(11, 96)
+
+    def test_epsilon_around_powers_of_two_of_the_gap(self):
+        # The closed form must pick the first epsilon / 2^k below x - y also
+        # where epsilon is exactly (x - y) * 2^k.
+        env, mu = fx.nested_environment(), fx.drift_beliefs()
+        *_, x, y = _deterministic_witness_pair(env, mu)
+        for k in range(6):
+            for scale in (F(999, 1000), ONE, F(1001, 1000)):
+                epsilon = (x - y) * 2**k * scale
+                book = synthesize_deterministic_db(env, mu, epsilon)
+                assert book == reference_synthesize_deterministic_db(env, mu, epsilon)
+
+    def test_integer_epsilon(self):
+        env, mu = fx.nested_environment(), fx.drift_beliefs()
+        assert synthesize_deterministic_db(env, mu, 3) == synthesize_deterministic_db(env, mu, F(3))
 
     def test_default_epsilon(self):
         env, mu = fx.nested_environment(), fx.drift_beliefs()

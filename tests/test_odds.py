@@ -1,7 +1,9 @@
+import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -33,7 +35,7 @@ from dutchbook import fixtures as fx
 from dutchbook.model import ONE, ZERO
 from dutchbook.odds import _condensation_walk
 
-from conftest import random_lcps, weights
+from conftest import random_environment, random_lcps, weights
 
 F = Fraction
 
@@ -496,12 +498,12 @@ def renamed_forest_environment(rng):
             continue
 
 
-def coherence_instances(seed, count):
+def coherence_instances(seed, count, environment=renamed_forest_environment):
     """Seeded (env, mu): random beliefs with zeros, beliefs derived from an
     LCPS, and derived beliefs with one to three rows re-drawn, in turn."""
     rng = random.Random(seed)
     for i in range(count):
-        env = renamed_forest_environment(rng)
+        env = environment(rng)
         nodes, sh = env.forest.nodes, env.consistent_states
         if i % 3 == 0:
             mu = {h: weights(rng, sh[h]) for h in nodes}
@@ -594,3 +596,62 @@ class TestScale:
         assert time.perf_counter() - started < 3.0
         assert not result.consistent and result.violation.product.is_finite
         assert generalized_odds_ratio(env, mu, result.violation.cycle) == result.violation.product
+
+
+# Brute-force oracle: a belief system is incoherent iff some simple directed
+# cycle of states, with one contingency per link, has a determinate product
+# of discounted odds ratios other than 1. A certificate makes every such
+# product 1 or indeterminate; a witness is such a cycle.
+
+def oracle_violating_cycles(env, mu):
+    """{((h, src, dst), ...): product} over the violating simple cycles, each
+    listed from its first state in state order."""
+    ratios = {}
+    for h in env.forest.nodes:
+        for s in env.reach[h]:
+            for t in env.reach[h]:
+                if s != t:
+                    try:
+                        ratio = discounted_odds_ratio(env, mu, h, s, t)
+                    except IndeterminateRatio:
+                        continue
+                    ratios.setdefault((s, t), []).append((h, ratio))
+    violating = {}
+    for i, start in enumerate(env.states):
+        for k in range(1, len(env.states) - i):
+            for rest in itertools.permutations(env.states[i + 1 :], k):
+                cycle = (start, *rest, start)
+                choices = [ratios.get(pair, []) for pair in zip(cycle, cycle[1:])]
+                for picked in itertools.product(*choices):
+                    value = ExtendedRatio.finite(ONE)
+                    try:
+                        for _, ratio in picked:
+                            value = value * ratio
+                    except IndeterminateProduct:
+                        continue
+                    if not value.is_one:
+                        links = tuple((h, s, t) for (h, _), s, t in zip(picked, cycle, cycle[1:]))
+                        violating[links] = value
+    return violating
+
+
+class TestBruteForceOracle:
+    def test_verdicts_and_witnesses(self):
+        seen = Counter()
+        small = partial(random_environment, max_states=5, max_nodes=5)
+        for env, mu in coherence_instances(0x0AC1E, 250, small):
+            violating = oracle_violating_cycles(env, mu)
+            outcome = check_coherence(build_coherence_graph(env, mu))
+            if isinstance(outcome, CoherenceCertificate):
+                assert not violating
+                seen["coherent"] += 1
+                continue
+            assert violating
+            cycle = outcome.cycle
+            first = min(range(len(cycle)), key=lambda i: env.state_index[cycle[i].src])
+            links = cycle[first:] + cycle[:first]
+            assert violating[tuple((l.h, l.src, l.dst) for l in links)] == outcome.product
+            seen["incoherent"] += 1
+            seen["longer witness"] += len(links) >= 3
+        assert seen["coherent"] >= 50 and seen["incoherent"] >= 50, seen
+        assert seen["longer witness"] >= 10, seen
