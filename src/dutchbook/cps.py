@@ -158,7 +158,7 @@ def check_siniscalchi(
     contingencies = env.forest.nodes
     if max_len is None:
         max_len = len(contingencies)
-    if max_len < 2:
+    elif max_len < 2:
         raise InputError("max_len must be at least 2")
     supports = {h: frozenset(env.consistent_states[h]) for h in contingencies}
     # a -> [(b, mu(O|b), mu(O|a))] for O = S(a) & S(b) nonempty, b in node order

@@ -86,11 +86,13 @@ def expected_payoff(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) 
 def is_willing_to_accept(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) -> bool:
     """Positive expectation, or zero expectation with no loss on nu-null states
     (non-rational masses and payoffs are rejected as in `expected_payoff`)."""
-    value = expected_payoff(nu, gamble)
-    if value > 0:
-        return True
-    if value < 0:
-        return False
+    return _accepts(expected_payoff(nu, gamble), nu, gamble)
+
+
+def _accepts(value: Fraction, nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) -> bool:
+    """The acceptance rule, given the gamble's expectation under nu."""
+    if value:
+        return value > 0
     return all(x >= 0 for s, x in gamble.items() if nu.get(s, ZERO) == 0)
 
 
@@ -117,7 +119,8 @@ def accepts_system(
         for s in gamble:
             if type(belief.get(s, ZERO)) is not Fraction:
                 _require_rational(belief[s], "mu[%r]: non-rational mass at %r", h, s)
-        detail[h] = (expected_payoff(belief, gamble), is_willing_to_accept(belief, gamble))
+        value = expected_payoff(belief, gamble)
+        detail[h] = (value, _accepts(value, belief, gamble))
     return AcceptanceReport(all(ok for _, ok in detail.values()), detail)
 
 

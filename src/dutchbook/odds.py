@@ -7,7 +7,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, IndeterminateProduct, IndeterminateRatio, InternalError
+from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, InternalError,
+                     PreconditionViolation)
 from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
 
 _ZERO_TAG = "zero"
@@ -191,144 +192,6 @@ def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> Coheren
     return CoherenceGraph(env.states, weights)
 
 
-class _Analysis:
-    """Spanning-tree potentials, finite components, and the zero-edge
-    condensation, shared by check_coherence and plausibility_levels.
-
-    Read from the weight rows: at h the finite edges join every two states
-    of positive[h] (positive weight, state order) and the zero edges run
-    from each other state of S(h) into positive[h]. Each step finds what a
-    scan of all the edges in (src, dst, h) order would find, at a cost of
-    sum |S(h)| plus sorting.
-    """
-
-    def __init__(self, graph: CoherenceGraph):
-        self.graph = graph
-        self.order = {s: i for i, s in enumerate(graph.states)}
-        self.component: dict[str, int] = {}
-        self.potential: dict[str, Fraction] = {}
-        self.tree_parent: dict[str, OddsLink] = {}  # link oriented child -> parent
-        self.violation: CoherenceViolation | None = None
-        self.comp_levels: dict[int, int] = {}
-        self._run()
-
-    def _tree_path(self, frm: str, to: str) -> list[OddsLink]:
-        """Links along the spanning tree from `frm` to `to` (same component)."""
-
-        def to_root(x: str) -> list[str]:
-            path = [x]
-            while path[-1] in self.tree_parent:
-                path.append(self.tree_parent[path[-1]].dst)
-            return path
-
-        up_a, up_b = to_root(frm), to_root(to)
-        common = set(up_b)
-        i = next(i for i, x in enumerate(up_a) if x in common)
-        lca = up_a[i]
-        links = [self.tree_parent[x] for x in up_a[:i]]  # frm -> lca, child->parent
-        down = [self.tree_parent[x].reversed() for x in up_b[: up_b.index(lca)]]
-        return links + list(reversed(down))
-
-    def _run(self) -> None:
-        weights, order = self.graph.weights, self.order
-        positive = {h: [s for s, w in row.items() if w] for h, row in weights.items()}
-        incident: dict[str, list[str]] = {s: [] for s in self.graph.states}
-        for h in sorted(positive):
-            for s in positive[h]:
-                incident[s].append(h)
-
-        # Breadth-first over the finite edges. The first expansion of h
-        # reaches all of positive[h], so h is never expanded again, and the
-        # tree edge into v is the least h (by id) it shares with u.
-        expanded: set[str] = set()
-        comp = 0
-        for root in self.graph.states:
-            if root in self.component:
-                continue
-            self.component[root] = comp
-            self.potential[root] = ONE
-            queue = [root]
-            for u in queue:  # the queue grows while it is read
-                found: dict[str, str] = {}
-                for h in incident[u]:
-                    if h not in expanded:
-                        expanded.add(h)
-                        for v in positive[h]:
-                            if v not in self.component:
-                                found.setdefault(v, h)
-                for v in sorted(found, key=order.__getitem__):
-                    w = weights[found[v]]
-                    self.component[v] = comp
-                    # pot(u)/pot(v) = o(u, v|h) for the tree edge.
-                    self.potential[v] = self.potential[u] * w[v] / w[u]
-                    self.tree_parent[v] = OddsLink(found[v], v, u, _ratio(w[v], w[u]))
-                    queue.append(v)
-            comp += 1
-
-        # Every finite edge must agree with the potentials: pot(s)/w(s|h) is
-        # constant on positive[h]. The least failing edge at h runs from its
-        # head to the first state that disagrees with the head.
-        failing = []
-        for h, pos in positive.items():
-            if pos:
-                w, head = weights[h], pos[0]
-                c = self.potential[head] / w[head]
-                s = next((s for s in pos if self.potential[s] / w[s] != c), None)
-                if s is not None:
-                    e = OddsLink(h, head, s, _ratio(w[head], w[s]))
-                    failing.append((order[head], order[s], h, e))
-        if failing:
-            *_, e = min(failing)
-            self.violation = _make_violation([e] + self._tree_path(e.dst, e.src))
-            return
-
-        # Zero edges: inside a finite component they witness a violation;
-        # across components they must form a DAG on the condensation. All of
-        # positive[h] is one component, so the least zero edge from s at h,
-        # the one into the head of positive[h], decides both.
-        zero = ExtendedRatio.zero()
-        zero_edges = sorted(
-            (order[s], order[pos[0]], h, OddsLink(h, s, pos[0], zero))
-            for h, pos in positive.items() if pos
-            for s, w in weights[h].items() if not w
-        )
-        cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
-        for *_, e in zero_edges:
-            ca, cb = self.component[e.src], self.component[e.dst]
-            if ca == cb:
-                self.violation = _make_violation([e] + self._tree_path(e.dst, e.src))
-                return
-            cond[ca].setdefault(cb, e)
-
-        cyc, self.comp_levels = _condensation_walk(cond)
-        if cyc is not None:
-            links: list[OddsLink] = []
-            for i, e in enumerate(cyc):
-                nxt = cyc[(i + 1) % len(cyc)]
-                links.append(e)
-                if e.dst != nxt.src:
-                    links.extend(self._tree_path(e.dst, nxt.src))
-            self.violation = _make_violation(links)
-
-    def partition(self) -> PlausibilityPartition:
-        if self.violation is not None:
-            raise InternalError("plausibility levels requested on incoherent graph")
-        n = max(self.comp_levels.values(), default=1)
-        levels: list[list[str]] = [[] for _ in range(n)]
-        for s in self.graph.states:
-            levels[self.comp_levels[self.component[s]] - 1].append(s)
-        return PlausibilityPartition(tuple(tuple(members) for members in levels))
-
-    def certificate(self) -> CoherenceCertificate:
-        part = self.partition()
-        potentials: dict[str, Fraction] = {}
-        for members in part.levels:
-            total = sum((self.potential[s] for s in members), ZERO)
-            for s in members:
-                potentials[s] = self.potential[s] / total
-        return CoherenceCertificate(part, potentials)
-
-
 def _condensation_walk(
     cond: dict[int, dict[int, OddsLink]]
 ) -> tuple[list[OddsLink] | None, dict[int, int]]:
@@ -384,13 +247,128 @@ def _make_violation(cycle: list[OddsLink]) -> CoherenceViolation:
 
 def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceViolation:
     """Certificate iff every generalized self-odds ratio is 1, else a witness
-    self-cycle with product Zero or Finite(!= 1)."""
-    analysis = _Analysis(graph)
-    if analysis.violation is not None:
-        return analysis.violation
-    return analysis.certificate()
+    self-cycle with product Zero or Finite(!= 1).
+
+    Read from the weight rows: at h the finite edges join every two states
+    of positive[h] (positive weight, state order) and the zero edges run
+    from each other state of S(h) into positive[h]. Each step finds what a
+    scan of all the edges in (src, dst, h) order would find, at a cost of
+    sum |S(h)| plus sorting. Link values are computed only for the witness.
+    """
+    weights, states = graph.weights, graph.states
+    order = {s: i for i, s in enumerate(states)}
+    positive = {h: [s for s, w in row.items() if w] for h, row in weights.items()}
+    incident: dict[str, list[str]] = {s: [] for s in states}
+    for h in sorted(positive):
+        for s in positive[h]:
+            incident[s].append(h)
+
+    # Breadth-first over the finite edges. The first expansion of h reaches
+    # all of positive[h], so h is never expanded again, and the tree edge
+    # into v is the least h (by id) it shares with u.
+    component: dict[str, int] = {}
+    potential: dict[str, Fraction] = {}
+    up: dict[str, tuple[str, str]] = {}  # v -> (h, u) of the tree edge into v
+    expanded: set[str] = set()
+    comp = 0
+    for root in states:
+        if root in component:
+            continue
+        component[root] = comp
+        potential[root] = ONE
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            found: dict[str, str] = {}
+            for h in incident[u]:
+                if h not in expanded:
+                    expanded.add(h)
+                    for v in positive[h]:
+                        if v not in component:
+                            found.setdefault(v, h)
+            for v in sorted(found, key=order.__getitem__):
+                h = found[v]
+                component[v] = comp
+                # pot(u)/pot(v) = o(u, v|h) for the tree edge.
+                potential[v] = potential[u] * weights[h][v] / weights[h][u]
+                up[v] = (h, u)
+                queue.append(v)
+        comp += 1
+
+    def link(h: str, s: str, t: str) -> OddsLink:
+        return OddsLink(h, s, t, _ratio(weights[h][s], weights[h][t]))
+
+    def tree_path(frm: str, to: str) -> list[OddsLink]:
+        """Links along the spanning tree from `frm` to `to` (same component)."""
+
+        def to_root(x: str) -> list[str]:
+            path = [x]
+            while path[-1] in up:
+                path.append(up[path[-1]][1])
+            return path
+
+        up_a, up_b = to_root(frm), to_root(to)
+        common = set(up_b)
+        i = next(i for i, x in enumerate(up_a) if x in common)
+        j = up_b.index(up_a[i])
+        return ([link(up[x][0], x, up[x][1]) for x in up_a[:i]]
+                + [link(up[x][0], up[x][1], x) for x in reversed(up_b[:j])])
+
+    # Every finite edge must agree with the potentials: pot(s)/w(s|h) is
+    # constant on positive[h]. The least failing edge at h runs from its
+    # head to the first state that disagrees with the head.
+    failing = []
+    for h, pos in positive.items():
+        if pos:
+            w, head = weights[h], pos[0]
+            c = potential[head] / w[head]
+            s = next((s for s in pos if potential[s] / w[s] != c), None)
+            if s is not None:
+                failing.append((order[head], order[s], h, head, s))
+    if failing:
+        *_, h, head, s = min(failing)
+        return _make_violation([link(h, head, s)] + tree_path(s, head))
+
+    # Zero edges: inside a finite component they witness a violation;
+    # across components they must form a DAG on the condensation. All of
+    # positive[h] is one component, so the least zero edge from s at h,
+    # the one into the head of positive[h], decides both.
+    zero = ExtendedRatio.zero()
+    zero_edges = sorted(
+        (order[s], order[pos[0]], h, OddsLink(h, s, pos[0], zero))
+        for h, pos in positive.items() if pos
+        for s, w in weights[h].items() if not w
+    )
+    cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
+    for *_, e in zero_edges:
+        ca, cb = component[e.src], component[e.dst]
+        if ca == cb:
+            return _make_violation([e] + tree_path(e.dst, e.src))
+        cond[ca].setdefault(cb, e)
+
+    cyc, comp_levels = _condensation_walk(cond)
+    if cyc is not None:
+        links: list[OddsLink] = []
+        for i, e in enumerate(cyc):
+            nxt = cyc[(i + 1) % len(cyc)]
+            links.append(e)
+            if e.dst != nxt.src:
+                links.extend(tree_path(e.dst, nxt.src))
+        return _make_violation(links)
+
+    levels: list[list[str]] = [[] for _ in range(max(comp_levels.values(), default=1))]
+    for s in states:
+        levels[comp_levels[component[s]] - 1].append(s)
+    potentials: dict[str, Fraction] = {}
+    for members in levels:
+        total = sum((potential[s] for s in members), ZERO)
+        for s in members:
+            potentials[s] = potential[s] / total
+    return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)
 
 
 def plausibility_levels(graph: CoherenceGraph) -> PlausibilityPartition:
     """The partition (P^1,...,P^n) by depth of zero-odds reachability."""
-    return _Analysis(graph).partition()
+    outcome = check_coherence(graph)
+    if isinstance(outcome, CoherenceViolation):
+        raise PreconditionViolation("belief system is not coherent")
+    return outcome.partition

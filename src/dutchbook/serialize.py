@@ -230,10 +230,15 @@ def violation_links(doc: Any) -> list[OddsLink]:
     """Rehydrate just the (h, from, to) walk of a stored witness, as links
     without values; `generalized_odds_ratio` recomputes them."""
     _require_keys(doc, {"cycle", "product"}, {"cycle"}, "violation")
+    if not isinstance(doc["cycle"], list):
+        raise InputError("violation.cycle: expected a list")
     links = []
     for entry in doc["cycle"]:
         _require_keys(entry, {"h", "from", "to", "value"}, {"h", "from", "to"}, "cycle link")
-        links.append(OddsLink(entry["h"], entry["from"], entry["to"]))
+        ends = entry["h"], entry["from"], entry["to"]
+        if not all(isinstance(x, str) for x in ends):
+            raise InputError(f"cycle link: expected string h, from and to, got {ends!r}")
+        links.append(OddsLink(*ends))
     return links
 
 

@@ -97,6 +97,18 @@ class TestVerdictCommands:
         assert code == 1
         assert payload["violation"]["sequence"] == ["sm", "mp", "ps"]
 
+    def test_check_siniscalchi_single_contingency(self, capsys, tmp_path):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({
+            "states": ["a", "b"],
+            "contingencies": [{"id": "h", "parent": None}],
+            "eta": {"a": {"h": "1"}, "b": {"h": "1"}},
+        }))
+        beliefs = tmp_path / "beliefs.json"
+        beliefs.write_text(json.dumps({"beliefs": {"h": {"a": "1/2", "b": "1/2"}}}))
+        code, payload = run(capsys, "check-siniscalchi", "--env", env, "--beliefs", beliefs)
+        assert code == 0 and payload == {"ok": True}
+
     def test_siniscalchi_non_uniform_is_input_error(self, capsys):
         code, payload = run(
             capsys, "check-siniscalchi",

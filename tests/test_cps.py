@@ -151,6 +151,16 @@ class TestSiniscalchi:
         # The Larry violation needs three contingencies.
         assert check_siniscalchi(env, mu, 2) is None
 
+    def test_single_contingency_holds_by_default(self):
+        # No sequence of two distinct contingencies exists, so the rule holds;
+        # only a max_len that was passed in is checked.
+        forest = ContingencyForest(["h"], {})
+        env = build_environment(["a", "b"], forest, {"a": {"h": ONE}, "b": {"h": ONE}})
+        mu = {"h": {"a": F(1, 2), "b": F(1, 2)}}
+        assert check_siniscalchi(env, mu) is None
+        with pytest.raises(InputError, match="max_len must be at least 2"):
+            check_siniscalchi(env, mu, 1)
+
     def test_agrees_with_complete_consistency_on_derived_beliefs(self, rng):
         env = fx.larry_environment()
         for _ in range(25):

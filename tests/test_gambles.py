@@ -91,6 +91,19 @@ class TestAcceptance:
         assert not report.accepted
         assert report.per_contingency["sm"] == (F(-1, 2), False)
 
+    def test_accepts_system_computes_each_expectation_once(self, monkeypatch):
+        calls = []
+
+        def counted(nu, gamble):
+            calls.append(gamble)
+            return expected_payoff(nu, gamble)
+
+        monkeypatch.setattr(gambles, "expected_payoff", counted)
+        env = fx.larry_environment()
+        report = accepts_system(env, fx.regret_beliefs(), fx.larry_book())
+        assert report.accepted
+        assert len(calls) == len(env.forest.nodes)
+
     def test_payoff_outside_support_rejected(self):
         env = fx.larry_environment()
         g = {"sm": {"pa": F(1)}}

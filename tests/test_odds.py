@@ -30,10 +30,12 @@ from dutchbook.errors import (
     IndeterminateRatio,
     InternalError,
     InvalidEnvironment,
+    PreconditionViolation,
 )
 from dutchbook import fixtures as fx
 from dutchbook.model import ONE, ZERO
-from dutchbook.odds import _condensation_walk
+from dutchbook import odds
+from dutchbook.odds import _condensation_walk, _ratio
 
 from conftest import random_environment, random_lcps, weights
 
@@ -231,7 +233,7 @@ class TestPlausibilityLevels:
 
     def test_incoherent_graph_rejected(self):
         graph = build_coherence_graph(fx.larry_environment(), fx.regret_beliefs())
-        with pytest.raises(InternalError):
+        with pytest.raises(PreconditionViolation, match="belief system is not coherent"):
             plausibility_levels(graph)
 
 
@@ -559,6 +561,33 @@ class TestWeightRowsMatchEdgeList:
         plausibility_levels(graph)
         assert "edges" not in vars(graph)
         assert graph.edges is graph.edges
+
+    def test_link_values_are_computed_only_on_witnesses(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _ratio(a, b)
+
+        env = fx.larry_environment()
+        coherent = [(env, fx.uniform_beliefs()), (env, fx.lex_beliefs())]
+        coherent += [(e, m) for e, m in coherence_instances(0x1DEA, 300)
+                     if check_complete_consistency(e, m).consistent]
+        assert len(coherent) >= 100
+        monkeypatch.setattr(odds, "_ratio", counted)
+        for e, m in coherent:
+            assert isinstance(check_coherence(build_coherence_graph(e, m)), CoherenceCertificate)
+        assert calls == []
+        # On a violation, one value per finite witness link; zero links share
+        # a constant.
+        witnesses = 0
+        for e, m in coherence_instances(0x1DEA, 300):
+            outcome = check_coherence(build_coherence_graph(e, m))
+            if isinstance(outcome, CoherenceViolation):
+                witnesses += 1
+                assert len(calls) == sum(link.value.is_finite for link in outcome.cycle)
+            calls.clear()
+        assert witnesses >= 50
 
 
 def two_contingency_environment(n):
