@@ -11,7 +11,7 @@ import argparse
 import sys
 import traceback
 from fractions import Fraction
-from functools import partial
+from functools import cache
 
 from . import serialize
 from .consistency import (
@@ -63,7 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused for the life
+    of the process. The handlers it binds look up the library functions
+    they call at call time, so rebinding a module global takes effect on
+    the next call."""
     parser = _Parser(
         prog="dutchbook",
         description="Exact consistency checks and Dutch-book construction "
@@ -85,7 +90,7 @@ def _build_parser() -> _Parser:
         "--env", __beliefs={"required": False}, __lcps={"required": False})
     cmd("check-forward", _check_forward, "forward-consistency check", "--env", "--beliefs")
     cmd("check-complete", _check_complete, "complete-consistency check", "--env", "--beliefs")
-    cmd("extract-lcps", partial(_check_complete, certificate=False),
+    cmd("extract-lcps", lambda args: _check_complete(args, certificate=False),
         "extract the rationalizing LCPS", "--env", "--beliefs")
     cmd("derive-beliefs", _derive_beliefs, "derive beliefs from an LCPS", "--env", "--lcps")
     cmd("to-cps", _to_cps, "expand an LCPS to a complete CPS", "--lcps",
@@ -94,17 +99,17 @@ def _build_parser() -> _Parser:
     cmd("check-siniscalchi", _check_siniscalchi,
         "generalized chain-rule check (uniform reach only)",
         "--env", "--beliefs", __max_len={"type": int, "default": None})
-    cmd("verify-book", partial(_verify, classify=classify_dutch_book, judge=_book_verdict),
+    cmd("verify-book", lambda args: _verify(args, classify_dutch_book, _book_verdict),
         "classify a gamble system as a Dutch book",
         "--env", "--book", __beliefs={"required": False})
     cmd("verify-deterministic",
-        partial(_verify, classify=classify_deterministic, judge=_deterministic_verdict),
+        lambda args: _verify(args, classify_deterministic, _deterministic_verdict),
         "classify a gamble system path-by-path",
         "--env", "--book", __beliefs={"required": False})
-    cmd("synth-book", partial(_synth, synthesize=dutch_book_synthesis, judge=_book_verdict),
+    cmd("synth-book", lambda args: _synth(args, dutch_book_synthesis, _book_verdict),
         "construct a Dutch book against inconsistent beliefs", "--env", "--beliefs")
     cmd("synth-deterministic",
-        partial(_synth, synthesize=deterministic_synthesis, judge=_deterministic_verdict),
+        lambda args: _synth(args, deterministic_synthesis, _deterministic_verdict),
         "construct a deterministic Dutch book against forward-inconsistent beliefs",
         "--env", "--beliefs")
     cmd("simulate", _simulate, "Monte Carlo audit of a gamble system", "--env", "--beliefs",

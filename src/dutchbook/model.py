@@ -176,11 +176,14 @@ def build_environment(
     # States are walked in order, so every reach row comes out in state order.
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
+        row = {}
         for k, v in eta[s].items():
-            _require_rational(
-                v, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment
-            )
-        row = {k: Fraction(v) for k, v in eta[s].items()}
+            if type(v) is not Fraction:
+                _require_rational(
+                    v, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment
+                )
+                v = Fraction(v)
+            row[k] = v
         bad = [k for k in row if k not in leaf_rank]
         if bad:
             raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
@@ -188,7 +191,8 @@ def build_environment(
         eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l] > 0}
         for leaf, mass in eta_table[s].items():
             for h in forest.chain[leaf]:
-                reach[h][s] = reach[h].get(s, ZERO) + mass
+                row_h = reach[h]
+                row_h[s] = row_h[s] + mass if s in row_h else mass
 
     for h in forest.nodes:
         if not reach[h]:

@@ -448,3 +448,51 @@ class TestUnexpectedFailures:
             "code": "internal", "message": "ZeroDivisionError: boom", "location": None
         }
         assert captured.err.startswith("Traceback")
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        calls = [
+            ["check-forward", "--env", DATA / "larry.json"],  # usage: --beliefs missing
+            ["no-such-command"],
+            ["validate", "--env", tmp_path / "missing.json"],  # InputError
+            ["check-complete", "--env", DATA / "larry.json", "--beliefs", DATA / "regret.json"],
+            ["extract-lcps", "--env", DATA / "larry.json", "--beliefs", DATA / "uniform.json"],
+            ["validate", "--env", DATA / "larry.json", "--out", out],
+        ]
+
+        def answer(argv, fresh):
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main([str(a) for a in argv])
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, capsys.readouterr().out.encode(), written
+
+        parser = cli._build_parser()
+        reused = [answer(argv, False) for argv in calls + calls]
+        assert cli._build_parser() is parser
+        fresh = [answer(argv, True) for argv in calls]
+        assert reused == fresh + fresh
+        assert [code for code, _, _ in fresh] == [2, 2, 2, 1, 0, 0]
+        assert fresh[-1][2] == fresh[-1][1]
+
+    def test_library_functions_are_looked_up_per_call(self, capsys, monkeypatch):
+        argv = ["verify-book", "--env", str(DATA / "larry.json"),
+                "--book", str(DATA / "larry-book.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        calls = []
+
+        def counting(env, g):
+            calls.append(g)
+            return gambles.classify_dutch_book(env, g)
+
+        monkeypatch.setattr(cli, "classify_dutch_book", counting)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1

@@ -110,6 +110,18 @@ class TestEnvironment:
         with pytest.raises(InvalidEnvironment, match=r"eta\['s'\]: non-rational mass at 'a'"):
             build_environment(["s"], forest, {"s": row})
 
+    def test_fraction_masses_kept_and_others_converted(self):
+        forest = ContingencyForest(["r", "l1", "l2"], {"l1": "r", "l2": "r"})
+        third = F(1, 3)
+        env = build_environment(["s", "t"], forest, {"s": {"l1": third, "l2": F(2, 3)},
+                                                    "t": {"l2": 1}})
+        assert env.eta["s"]["l1"] is third
+        assert env.reach["l1"]["s"] is third
+        assert env.reach["r"] == {"s": 1, "t": 1}
+        values = [m for table in (env.eta, env.reach) for row in table.values()
+                  for m in row.values()]
+        assert all(type(m) is F for m in values)
+
     def test_eta_only_on_leaves(self):
         forest = ContingencyForest(["r", "l"], {"l": "r"})
         with pytest.raises(InvalidEnvironment, match="unknown path keys"):

@@ -1,4 +1,7 @@
 import json
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,52 @@ class TestRationals:
     def test_rejects(self, text):
         with pytest.raises(InputError):
             sz.parse_rational(text)
+
+    def test_matches_fraction_of_text(self):
+        # parse_rational takes p and q from its regex groups; the reference
+        # is the same regex gate followed by Fraction(text).
+        gate = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+        def reference(text):
+            if not gate.match(text):
+                return "reject"
+            try:
+                return Fraction(text)
+            except ValueError as exc:
+                return f"value: {exc}"
+
+        def parsed(text):
+            try:
+                return sz.parse_rational(text)
+            except InputError as exc:
+                return "reject" if "expected rational string" in str(exc) else str(exc)
+
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        rng = random.Random(11)
+        tokens = ["0", "00", "1", "7", "9", "10", "007", "-", "-0", "/", "+", " ", "\n", ".",
+                  "_", "e", "\u0663", "\u0661\u0662", "\uff15", ""]
+
+        def number(max_digits):
+            return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, max_digits)))
+
+        texts = ["-0", "0/5", "-0/7", "007/010", "\u0663/4", "-\u0663", "1/\u0664", "3/4\n",
+                 "1" * limit, "-" + "9" * limit, "1" * (limit + 1), "2/" + "3" * (limit + 1),
+                 "1" * (limit + 1) + "/" + "3" * (limit + 1)]
+        texts += ["".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+                  for _ in range(3000)]
+        texts += [rng.choice(["", "-"]) + number(12) + rng.choice(["", "/" + number(12)])
+                  for _ in range(3000)]
+        texts += [rng.choice(["", "-"]) + number(limit) + "/" + number(limit)
+                  for _ in range(20)]
+        accepted = 0
+        for text in texts:
+            want, got = reference(text), parsed(text)
+            if isinstance(want, Fraction):
+                accepted += 1
+                assert type(got) is Fraction and got == want, text
+            else:
+                assert got == want, text
+        assert 3000 < accepted < len(texts)
 
     def test_format_lowest_terms(self):
         assert sz.format_rational(F(2, 6)) == "1/3"
