@@ -2,8 +2,9 @@
 systems, and verdicts.
 
 Rationals travel as strings "p/q" (or "n" for integers). Canonical writers
-order keys by the state-space / forest order so output is byte-stable;
-readers reject unknown keys.
+put every sparse row through `_row_to_doc`, which orders its keys by the
+state-space / forest order so output is byte-stable; readers reject
+unknown keys.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .model import (
     BeliefSystem,
     ContingencyForest,
     LearningEnvironment,
-    ZERO,
     build_environment,
 )
 from .consistency import ForwardViolation, Lcps
@@ -53,6 +53,13 @@ def _require_keys(doc: Mapping, allowed: set[str], required: set[str], where: st
     missing = required - set(doc)
     if missing:
         raise InputError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _row_to_doc(row: Mapping[str, Fraction], order: Mapping[str, int]) -> dict[str, str]:
+    """A sparse row as `{key: "p/q"}`: zero entries and keys outside `order`
+    dropped, the rest ranked by `order`. Costs O(k log k) for k entries."""
+    keys = sorted(filter(order.__contains__, row), key=order.__getitem__)
+    return {k: format_rational(row[k]) for k in keys if row[k] != 0}
 
 
 def _rational_row(doc: Any, where: str) -> dict[str, Fraction]:
@@ -95,10 +102,7 @@ def environment_to_doc(env: LearningEnvironment) -> dict:
         "contingencies": [
             {"id": h, "parent": env.forest.parent.get(h)} for h in env.forest.nodes
         ],
-        "eta": {
-            s: {leaf: format_rational(mass) for leaf, mass in env.eta[s].items()}
-            for s in env.states
-        },
+        "eta": {s: _row_to_doc(env.eta[s], env.forest.index) for s in env.states},
     }
 
 
@@ -117,16 +121,7 @@ def beliefs_from_doc(doc: Any) -> BeliefSystem:
 
 
 def beliefs_to_doc(env: LearningEnvironment, mu: BeliefSystem) -> dict:
-    return {
-        "beliefs": {
-            h: {
-                s: format_rational(mu[h][s])
-                for s in env.states
-                if mu[h].get(s, ZERO) != 0
-            }
-            for h in env.forest.nodes
-        }
-    }
+    return {"beliefs": {h: _row_to_doc(mu[h], env.state_index) for h in env.forest.nodes}}
 
 
 def gambles_from_doc(doc: Any) -> GambleSystem:
@@ -134,17 +129,8 @@ def gambles_from_doc(doc: Any) -> GambleSystem:
 
 
 def gambles_to_doc(env: LearningEnvironment, g: GambleSystem) -> dict:
-    return {
-        "gambles": {
-            h: {
-                s: format_rational(g[h][s])
-                for s in env.states
-                if g.get(h, {}).get(s, ZERO) != 0
-            }
-            for h in env.forest.nodes
-            if any(v != 0 for v in g.get(h, {}).values())
-        }
-    }
+    rows = ((h, _row_to_doc(g[h], env.state_index)) for h in env.forest.nodes if h in g)
+    return {"gambles": {h: row for h, row in rows if row}}
 
 
 # ------------------------------------------------------------------- LCPS/CPS
@@ -159,16 +145,7 @@ def lcps_from_doc(doc: Any) -> Lcps:
 
 def lcps_to_doc(lcps: Lcps, states: tuple[str, ...]) -> dict:
     order = {s: i for i, s in enumerate(states)}
-    return {
-        "levels": [
-            {
-                s: format_rational(level[s])
-                for s in sorted(level, key=order.get)
-                if level[s] != 0
-            }
-            for level in lcps.levels
-        ]
-    }
+    return {"levels": [_row_to_doc(level, order) for level in lcps.levels]}
 
 
 def cps_from_doc(doc: Any) -> CompleteCps:
@@ -176,16 +153,18 @@ def cps_from_doc(doc: Any) -> CompleteCps:
     table = doc["conditionals"]
     if not isinstance(table, dict) or not table:
         raise InputError("cps.conditionals: expected a nonempty object")
-    full_key = max(table, key=lambda k: len(k.split(",")))
-    states = tuple(full_key.split(","))
-    if len(set(states)) != len(states):
-        raise InputError("cps: duplicate states in the full-event key")
+    states = tuple(max(table, key=lambda k: len(k.split(","))).split(","))
     conditionals = {}
     for key, row in table.items():
         subset = key.split(",")
-        if any(s not in states for s in subset):
+        event = frozenset(subset)
+        if len(event) != len(subset):
+            raise InputError(f"cps key {key!r} repeats a state")
+        if event in conditionals:
+            raise InputError(f"cps key {key!r} names an event already given")
+        if not event.issubset(states):
             raise InputError(f"cps key {key!r} has states outside {states}")
-        conditionals[frozenset(subset)] = _rational_row(row, f"cps[{key!r}]")
+        conditionals[event] = _rational_row(row, f"cps[{key!r}]")
     expected = (1 << len(states)) - 1
     if len(conditionals) != expected:
         raise InputError(
@@ -196,16 +175,12 @@ def cps_from_doc(doc: Any) -> CompleteCps:
 
 def cps_to_doc(cps: CompleteCps) -> dict:
     order = {s: i for i, s in enumerate(cps.states)}
-    out = {}
-    for subset in cps.subsets():
-        key = ",".join(sorted(subset, key=order.get))
-        row = cps.conditionals[subset]
-        out[key] = {
-            s: format_rational(row[s])
-            for s in sorted(row, key=order.get)
-            if row[s] != 0
+    return {
+        "conditionals": {
+            ",".join(sorted(c, key=order.get)): _row_to_doc(cps.conditionals[c], order)
+            for c in cps.subsets()
         }
-    return {"conditionals": out}
+    }
 
 
 # ------------------------------------------------------------------- verdicts
@@ -248,10 +223,7 @@ def certificate_to_doc(cert: CoherenceCertificate, states: tuple[str, ...]) -> d
     order = {s: i for i, s in enumerate(states)}
     return {
         "levels": [sorted(members, key=order.get) for members in cert.partition.levels],
-        "potentials": {
-            s: format_rational(cert.potentials[s])
-            for s in sorted(cert.potentials, key=order.get)
-        },
+        "potentials": _row_to_doc(cert.potentials, order),
     }
 
 

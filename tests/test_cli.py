@@ -204,9 +204,36 @@ class TestSynthesisCommands:
                 ["check-siniscalchi", "--env", "larry.json", "--beliefs", "uniform.json"],
                 "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f",
             ),
+            (
+                ["derive-beliefs", "--env", "larry.json", "--lcps", "lex-lcps.json"],
+                "d1bcc68fafbd91b3a203242af701e6c299651642b1aa0fc1214f1698c94a73a5",
+            ),
+            (
+                ["extract-lcps", "--env", "nested.json", "--beliefs", "nested-ok.json"],
+                "83439557d98eb06da77499d6c7dd7fbc2980f44667aa9d80feb41d386e3ab286",
+            ),
+            (
+                ["check-complete", "--env", "larry.json", "--beliefs", "lex.json"],
+                "44b3ec047d30c3d5785721a018164804bde7d8e7896c5a42525af494970675fa",
+            ),
+            (
+                ["to-cps", "--lcps", "lex-lcps.json", "--env", "larry.json"],
+                "169a2e3e29f3a89b216de23b04098e61581f27b457658033bc7f7158ba9ff842",
+            ),
+            (
+                # keys out of state order and explicit zeros in the input rows
+                ["to-lcps", "--cps", "lex-cps.json"],
+                "067b1652865a5aef05019487d44bd17552aa760469ad46e8db2e7644ee1f0f0e",
+            ),
+            (
+                ["validate", "--env", "larry.json", "--beliefs", "regret.json",
+                 "--lcps", "lex-lcps.json"],
+                "416b2fc9df1a8e046ac199d17d3d9eaf6cca725f25c8d022a4a674f9baf22140",
+            ),
         ],
         ids=["synth-book", "synth-deterministic", "verify-book", "verify-deterministic",
-             "check-siniscalchi"],
+             "check-siniscalchi", "derive-beliefs", "extract-lcps", "check-complete", "to-cps",
+             "to-lcps", "validate"],
     )
     def test_stdout_is_pinned(self, capsys, argv, digest):
         # sha256 of stdout as printed when the CLI re-verified synthesized
@@ -317,6 +344,23 @@ class TestErrorHandling:
         code, payload = run(capsys, "validate", "--env", "no-such-file.json")
         assert code == 2
         assert payload["error"]["code"] == "input"
+
+    @pytest.mark.parametrize(
+        "conditionals, key",
+        [
+            ({"a,b": {"a": "1"}, "a,a": {"a": "1"}, "b": {"b": "1"}}, "a,a"),
+            ({"a,b": {"a": "1/2", "b": "1/2"}, "b,a": {"a": "1/3", "b": "2/3"},
+              "a": {"a": "1"}, "b": {"b": "1"}}, "b,a"),
+        ],
+        ids=["repeated-state", "repeated-event"],
+    )
+    def test_to_lcps_rejects_duplicate_cps_events(self, capsys, tmp_path, conditionals, key):
+        cps = tmp_path / "cps.json"
+        cps.write_text(json.dumps({"conditionals": conditionals}))
+        code, payload = run(capsys, "to-lcps", "--cps", cps)
+        assert code == 2
+        assert payload["error"]["code"] == "input"
+        assert repr(key) in payload["error"]["message"]
 
     def test_invalid_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

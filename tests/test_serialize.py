@@ -134,6 +134,19 @@ class TestLcpsCpsDocs:
         with pytest.raises(InputError, match="conditioning events"):
             sz.cps_from_doc(doc)
 
+    def test_cps_rejects_a_key_that_repeats_a_state(self):
+        # "a,a" would otherwise stand in for the event {a}.
+        doc = {"conditionals": {"a,b": {"a": "1"}, "a,a": {"a": "1"}, "b": {"b": "1"}}}
+        with pytest.raises(InputError, match=r"cps key 'a,a' repeats a state"):
+            sz.cps_from_doc(doc)
+
+    def test_cps_rejects_two_keys_for_one_event(self):
+        # Four keys for three events would pass the count check, the last row winning.
+        doc = {"conditionals": {"a,b": {"a": "1/2", "b": "1/2"}, "b,a": {"a": "1/3", "b": "2/3"},
+                                "a": {"a": "1"}, "b": {"b": "1"}}}
+        with pytest.raises(InputError, match=r"cps key 'b,a' names an event already given"):
+            sz.cps_from_doc(doc)
+
 
 class TestVerdictDocs:
     def test_violation_doc(self):
