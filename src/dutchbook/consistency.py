@@ -109,9 +109,15 @@ def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
 
 
 def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
-    """True iff mu is exactly the belief system the LCPS induces."""
+    """True iff mu is exactly the belief system the LCPS induces, row for row;
+    a non-rational mass in a row of the forest raises DomainError."""
     derived = derive_beliefs(env, lcps)
-    return all(dist_equal(derived[h], mu.get(h, {})) for h in env.forest.nodes)
+    for h in derived:
+        for s, m in mu.get(h, {}).items():
+            if type(m) is not Fraction:
+                _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
+    same_rows = mu.keys() == derived.keys()
+    return same_rows and all(dist_equal(row, mu[h]) for h, row in derived.items())
 
 
 def require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:

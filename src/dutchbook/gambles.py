@@ -3,6 +3,7 @@ two constructive synthesizers."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -27,22 +28,6 @@ from .odds import OddsLink
 
 # A gamble system maps each contingency to a state->payoff map (missing = 0).
 GambleSystem = dict[str, dict[str, Fraction]]
-
-
-@dataclass(frozen=True)
-class SynthesisParams:
-    epsilon: Fraction = Fraction(1)
-    shrink_factor: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        _require_rational(self.epsilon, "epsilon must be rational, not %r", self.epsilon)
-        _require_rational(
-            self.shrink_factor, "shrink factor must be rational, not %r", self.shrink_factor
-        )
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
-        if not 0 < self.shrink_factor < 1:
-            raise DomainError("shrink factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,15 +180,23 @@ def _expected_terms_book(
     return g
 
 
+def _positive_epsilon(epsilon: Fraction) -> Fraction:
+    """epsilon as a Fraction; DomainError unless it is a positive rational."""
+    _require_rational(epsilon, "epsilon must be rational, not %r", epsilon)
+    if epsilon <= 0:
+        raise DomainError("epsilon must be positive")
+    return Fraction(epsilon)
+
+
 def synthesize_dutch_book(
-    env: LearningEnvironment, mu: BeliefSystem, params: SynthesisParams = SynthesisParams()
+    env: LearningEnvironment, mu: BeliefSystem, epsilon: Fraction = ONE
 ) -> GambleSystem:
     """The verified, accepted Dutch book of `dutch_book_synthesis`."""
-    return dutch_book_synthesis(env, mu, params).book
+    return dutch_book_synthesis(env, mu, epsilon).book
 
 
 def dutch_book_synthesis(
-    env: LearningEnvironment, mu: BeliefSystem, params: SynthesisParams = SynthesisParams()
+    env: LearningEnvironment, mu: BeliefSystem, epsilon: Fraction = ONE
 ) -> Synthesis:
     """Turn a coherence violation into a verified, accepted Dutch book.
 
@@ -223,12 +216,14 @@ def dutch_book_synthesis(
     p(h_m-1|t_m)/p(h_m|t_m) > 0, so b_M-1 has an eps coefficient c >= 1 and
     d = p(h_M-1|t_0) * c. So only the anchor can be positive, iff eps > hi.
 
-    eps is the first epsilon * shrink_factor^k <= hi (hi <= 0 leaves none),
-    found by exact comparisons of O(log k) powers; the book is built once.
+    eps is the first of epsilon, epsilon/2, ... at most hi (hi <= 0 leaves none),
+    in closed form as in `deterministic_synthesis`: epsilon/2^k <= hi iff
+    2^k > ceil(epsilon/hi) - 1, so k is the bit length of ceil(epsilon/hi) - 1.
     Acceptance holds for every eps > 0: each cycle contingency's expectation
     is a sum of eps * mu(t_m+1 | h_m) terms, positive as the oriented witness
     has no infinite link; other contingencies get no gamble.
     """
+    epsilon = _positive_epsilon(epsilon)
     result = check_complete_consistency(env, mu)
     if result.consistent:
         raise PreconditionViolation("belief system is completely consistent")
@@ -250,27 +245,12 @@ def dutch_book_synthesis(
     hi = min(-a / d for a, d in terms if d > 0)
     if hi <= 0:
         raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
-    eps = _first_power_at_most(params.epsilon, params.shrink_factor, hi)
+    eps = epsilon / 2 ** (math.ceil(epsilon / hi) - 1).bit_length()
     g = _expected_terms_book(env, mu, cycle, eps)
     acceptance, verdict = accepts_system(env, mu, g), classify_dutch_book(env, g)
     if not (acceptance.accepted and verdict.is_dutch_book):
         raise InternalError("telescoping book failed verification")
     return Synthesis(g, acceptance, verdict)
-
-
-def _first_power_at_most(eps: Fraction, shrink: Fraction, hi: Fraction) -> Fraction:
-    """The first eps * shrink^k <= hi over k >= 0 (0 < shrink < 1, hi > 0):
-    k is bracketed by doubling and then bisected, so O(log k) powers are
-    formed and compared exactly."""
-    if eps <= hi:
-        return eps
-    lo, up = 0, 1  # eps * shrink^lo > hi throughout; eps * shrink^up <= hi once bracketed
-    while eps * shrink**up > hi:
-        lo, up = up, 2 * up
-    while up - lo > 1:
-        mid = (lo + up) // 2
-        lo, up = (mid, up) if eps * shrink**mid > hi else (lo, mid)
-    return eps * shrink**up
 
 
 def _deterministic_witness_pair(
@@ -323,9 +303,7 @@ def deterministic_synthesis(
     y - x + 2*eps/3 < 0 for s' (one exists as mu(s'|h) > 0); others to 0.
     """
     if epsilon is not None:
-        _require_rational(epsilon, "epsilon must be rational, not %r", epsilon)
-        if epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        epsilon = _positive_epsilon(epsilon)
     require_valid_beliefs(env, mu)
     violations = forward_violations(env, mu)
     first = next(violations, None)
@@ -344,7 +322,7 @@ def deterministic_synthesis(
         )
     h, hp, s, sp, x, y = found
 
-    eps = Fraction(epsilon) if epsilon is not None else (x - y) / 2
+    eps = epsilon if epsilon is not None else (x - y) / 2
     eps /= 2 ** (eps // (x - y)).bit_length()
     drag = y * eps / 4 if 3 * y * y < 4 else ZERO
     g: GambleSystem = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}

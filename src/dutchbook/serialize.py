@@ -174,6 +174,9 @@ def cps_from_doc(doc: Any) -> CompleteCps:
 
 
 def cps_to_doc(cps: CompleteCps) -> dict:
+    for s in cps.states:
+        if "," in s:
+            raise InputError(f"cps state {s!r} contains ',', the cps key separator")
     order = {s: i for i, s in enumerate(cps.states)}
     return {
         "conditionals": {

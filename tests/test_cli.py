@@ -362,6 +362,14 @@ class TestErrorHandling:
         assert payload["error"]["code"] == "input"
         assert repr(key) in payload["error"]["message"]
 
+    def test_to_cps_rejects_a_state_with_a_comma(self, capsys, tmp_path):
+        lcps = tmp_path / "lcps.json"
+        lcps.write_text(json.dumps({"levels": [{"a,b": "1"}, {"c": "1"}]}))
+        code, payload = run(capsys, "to-cps", "--lcps", lcps)
+        assert code == 2
+        assert payload["error"]["code"] == "input"
+        assert "'a,b'" in payload["error"]["message"]
+
     def test_invalid_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -17,7 +17,13 @@ from dutchbook import (
     verify_ccbs,
 )
 from dutchbook.consistency import ForwardViolation, forward_violations
-from dutchbook.errors import InputError, InternalError, InvalidEnvironment, PreconditionViolation
+from dutchbook.errors import (
+    DomainError,
+    InputError,
+    InternalError,
+    InvalidEnvironment,
+    PreconditionViolation,
+)
 from dutchbook.model import ZERO, mass_of
 from dutchbook import fixtures as fx
 
@@ -86,6 +92,22 @@ class TestVerifyCcbs:
         env, mu = fx.larry_environment(), fx.regret_beliefs()
         for _ in range(100):
             assert not verify_ccbs(env, mu, random_lcps(rng, env.states))
+
+    def test_float_mass_rejected(self):
+        # Floats equal to the induced masses must not pass as exact beliefs.
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        for h in ("sm", "mp", "ps"):
+            mu[h] = {s: float(m) for s, m in mu[h].items()}
+        lcps = extract_lcps(env, fx.uniform_beliefs())
+        with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
+            verify_ccbs(env, mu, lcps)
+
+    def test_row_outside_the_forest_rejected(self):
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        lcps = extract_lcps(env, mu)
+        assert verify_ccbs(env, mu, lcps)
+        mu["zz"] = {"sq": F(1)}
+        assert not verify_ccbs(env, mu, lcps)
 
 
 class TestExtractLcps:

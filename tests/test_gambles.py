@@ -10,7 +10,6 @@ from dutchbook import (
     ContingencyForest,
     FixedState,
     SimConfig,
-    SynthesisParams,
     accepts_system,
     build_environment,
     check_complete_consistency,
@@ -40,7 +39,6 @@ from dutchbook.gambles import (
     Synthesis,
     _deterministic_witness_pair,
     _expected_terms_book,
-    _first_power_at_most,
     _orient_cycle,
     deterministic_synthesis,
     dutch_book_synthesis,
@@ -210,25 +208,35 @@ class TestSynthesizeDutchBook:
 
     def test_custom_params(self):
         env, mu = fx.larry_environment(), fx.regret_beliefs()
-        g = synthesize_dutch_book(env, mu, SynthesisParams(F(1, 8), F(1, 4)))
+        g = synthesize_dutch_book(env, mu, F(1, 8))
         assert classify_dutch_book(env, g).is_dutch_book
 
     def test_bad_params(self):
-        with pytest.raises(DomainError):
-            SynthesisParams(F(0))
-        with pytest.raises(DomainError):
-            SynthesisParams(F(1), F(1))
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        for epsilon in (F(0), F(-1, 2)):
+            with pytest.raises(DomainError, match="epsilon must be positive"):
+                synthesize_dutch_book(env, mu, epsilon)
 
     @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"epsilon": 0.5}, "epsilon must be rational, not 0.5"),
-            ({"shrink_factor": 0.5}, "shrink factor must be rational, not 0.5"),
-        ],
+        "kwargs, message", [({"epsilon": 0.5}, "epsilon must be rational, not 0.5")]
     )
     def test_float_params_rejected(self, kwargs, message):
         with pytest.raises(DomainError, match=message):
-            SynthesisParams(**kwargs)
+            synthesize_dutch_book(fx.larry_environment(), fx.regret_beliefs(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "synthesize", [synthesize_dutch_book, synthesize_deterministic_db], ids=["book", "det"]
+    )
+    def test_epsilon_checked_before_beliefs(self, synthesize):
+        # An invalid belief system would raise InputError if it were read first.
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            synthesize(fx.larry_environment(), {}, F(0))
+
+    def test_integer_epsilon(self):
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        g = synthesize_dutch_book(env, mu, 3)
+        assert g == synthesize_dutch_book(env, mu, F(3))
+        assert all(type(x) is Fraction for row in g.values() for x in row.values())
 
     def test_random_inconsistent_instances(self, rng):
         env, count = fx.larry_environment(), 0
@@ -400,7 +408,7 @@ class TestAcceptedGambleGenerator:
 MAX_EPSILON_HALVINGS = 64
 
 
-def reference_synthesize_dutch_book(env, mu, params=SynthesisParams()):
+def reference_synthesize_dutch_book(env, mu, epsilon=ONE):
     result = check_complete_consistency(env, mu)
     if result.consistent:
         raise PreconditionViolation("belief system is completely consistent")
@@ -415,7 +423,7 @@ def reference_synthesize_dutch_book(env, mu, params=SynthesisParams()):
     if limit.per_state[anchor] != -env.reach[h1][anchor] * (ONE - r):
         raise InternalError("telescoping identity failed on witness cycle")
 
-    eps = params.epsilon
+    eps = epsilon
     for _ in range(MAX_EPSILON_HALVINGS):
         g = _expected_terms_book(env, mu, cycle, eps)
         if (
@@ -423,7 +431,7 @@ def reference_synthesize_dutch_book(env, mu, params=SynthesisParams()):
             and classify_dutch_book(env, g).is_dutch_book
         ):
             return g
-        eps *= params.shrink_factor
+        eps /= 2
     raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
 
 
@@ -470,24 +478,20 @@ def outcome(synthesize, *args):
 
 class TestClosedFormsMatchReference:
     @pytest.mark.parametrize(
-        "params",
-        [
-            SynthesisParams(),
-            SynthesisParams(F(1, 8), F(1, 4)),
-            SynthesisParams(F(3), F(2, 3)),
-            SynthesisParams(F(1, 1000), F(1, 2)),
-        ],
-        ids=["default", "1/8,1/4", "3,2/3", "1/1000,1/2"],
+        "epsilon",
+        [None, F(1, 8), F(3), F(1, 1000)],
+        ids=["default", "1/8,1/2", "3,1/2", "1/1000,1/2"],
     )
-    def test_synthesize_dutch_book(self, params):
+    def test_synthesize_dutch_book(self, epsilon):
         rng, compared = random.Random(21), 0
         while compared < 60:
             env = random_environment(rng, max_states=5, max_nodes=8)
             if not perturbable(env):
                 continue
             mu = inconsistent_beliefs(rng, env)
-            new = outcome(synthesize_dutch_book, env, mu, params)
-            assert new == outcome(reference_synthesize_dutch_book, env, mu, params)
+            args = (env, mu) if epsilon is None else (env, mu, epsilon)
+            new = outcome(synthesize_dutch_book, *args)
+            assert new == outcome(reference_synthesize_dutch_book, *args)
             compared += 1
 
     @pytest.mark.parametrize(
@@ -594,11 +598,10 @@ class TestLargeEpsilon:
 
     def test_dutch_book_at_two_to_the_seventy(self, uncapped_references):
         env, mu = fx.larry_environment(), fx.regret_beliefs()
-        params = SynthesisParams(epsilon=F(2**70))
-        synthesis = dutch_book_synthesis(env, mu, params)
+        synthesis = dutch_book_synthesis(env, mu, F(2**70))
         assert synthesis.acceptance.accepted and synthesis.verdict.is_dutch_book
-        assert synthesis.book == synthesize_dutch_book(env, mu, params)
-        assert synthesis.book == reference_synthesize_dutch_book(env, mu, params)
+        assert synthesis.book == synthesize_dutch_book(env, mu, F(2**70))
+        assert synthesis.book == reference_synthesize_dutch_book(env, mu, F(2**70))
 
     def test_deterministic_at_two_to_the_seventy(self, uncapped_references):
         env, mu = fx.nested_environment(), fx.drift_beliefs()
@@ -607,21 +610,17 @@ class TestLargeEpsilon:
         assert synthesis.book == synthesize_deterministic_db(env, mu, F(2**70))
         assert synthesis.book == reference_synthesize_deterministic_db(env, mu, F(2**70))
 
-    @pytest.mark.parametrize(
-        "params",
-        [SynthesisParams(F(2**70)), SynthesisParams(F(10**9), F(2, 3))],
-        ids=["2^70,1/2", "10^9,2/3"],
-    )
-    def test_dutch_book_matches_uncapped_reference(self, uncapped_references, params):
+    @pytest.mark.parametrize("epsilon", [F(2**70), F(10**9)], ids=["2^70,1/2", "10^9,1/2"])
+    def test_dutch_book_matches_uncapped_reference(self, uncapped_references, epsilon):
         rng, compared = random.Random(24), 0
         while compared < 30:
             env = random_environment(rng, max_states=5, max_nodes=8)
             if not perturbable(env):
                 continue
             mu = inconsistent_beliefs(rng, env)
-            new = outcome(synthesize_dutch_book, env, mu, params)
+            new = outcome(synthesize_dutch_book, env, mu, epsilon)
             assert isinstance(new, dict)
-            assert new == outcome(reference_synthesize_dutch_book, env, mu, params)
+            assert new == outcome(reference_synthesize_dutch_book, env, mu, epsilon)
             compared += 1
 
     @pytest.mark.parametrize("epsilon", [F(2**70), F(10**30, 7)], ids=["2^70", "10^30/7"])
@@ -639,11 +638,26 @@ class TestLargeEpsilon:
 
 
 def linear_epsilon(eps, shrink, hi):
-    """The skip that `_first_power_at_most` replaced: one multiplication per
+    """The skip that `first_power_at_most` replaced: one multiplication per
     epsilon above hi."""
     while eps > hi:
         eps *= shrink
     return eps
+
+
+def first_power_at_most(eps, shrink, hi):
+    """The search that the closed form replaced: the first eps * shrink^k <= hi
+    over k >= 0 (0 < shrink < 1, hi > 0), k bracketed by doubling and then
+    bisected, so O(log k) powers are formed and compared exactly."""
+    if eps <= hi:
+        return eps
+    lo, up = 0, 1  # eps * shrink^lo > hi throughout; eps * shrink^up <= hi once bracketed
+    while eps * shrink**up > hi:
+        lo, up = up, 2 * up
+    while up - lo > 1:
+        mid = (lo + up) // 2
+        lo, up = (mid, up) if eps * shrink**mid > hi else (lo, mid)
+    return eps * shrink**up
 
 
 def telescoping_terms(env, mu):
@@ -657,15 +671,11 @@ def telescoping_terms(env, mu):
 
 
 class TestEpsilonSearch:
-    """The book set is (0, hi], and the doubling-and-bisection search picks
-    the epsilon the linear skip picked."""
+    """The book set is (0, hi], and the closed form picks the epsilon of
+    epsilon, epsilon/2, ... that the linear skip and the doubling-and-bisection
+    search picked."""
 
-    PARAMS = [
-        SynthesisParams(),
-        SynthesisParams(F(1, 8), F(1, 4)),
-        SynthesisParams(F(3), F(2, 3)),
-        SynthesisParams(F(1, 1000), F(1, 2)),
-    ]
+    EPSILONS = [ONE, F(1, 8), F(3), F(1, 1000)]
 
     @staticmethod
     def seeded_instances(seed, count):
@@ -677,7 +687,8 @@ class TestEpsilonSearch:
                 count -= 1
 
     @staticmethod
-    def check_search(env, mu, params_list):
+    def check_search(env, mu, epsilons):
+        """`epsilons` maps the instance's hi to the epsilons to try."""
         cycle, terms = telescoping_terms(env, mu)
         anchor = cycle[0].src
         on_cycle = {link.src for link in cycle}
@@ -692,29 +703,36 @@ class TestEpsilonSearch:
         book = partial(_expected_terms_book, env, mu, cycle)
         assert classify_dutch_book(env, book(hi)).is_dutch_book
         assert not classify_dutch_book(env, book(hi * F(101, 100))).is_dutch_book
-        for params in params_list:
-            eps = linear_epsilon(params.epsilon, params.shrink_factor, hi)
-            assert _first_power_at_most(params.epsilon, params.shrink_factor, hi) == eps
-            assert synthesize_dutch_book(env, mu, params) == book(eps)
+        for epsilon in epsilons(hi):
+            eps = linear_epsilon(epsilon, F(1, 2), hi)
+            assert first_power_at_most(epsilon, F(1, 2), hi) == eps
+            assert synthesize_dutch_book(env, mu, epsilon) == book(eps)
 
     def test_matches_linear_skip_on_seeded_instances(self):
         for env, mu in self.seeded_instances(26, 400):
-            self.check_search(env, mu, self.PARAMS)
+            self.check_search(env, mu, lambda hi: self.EPSILONS)
 
     def test_matches_linear_skip_near_one(self):
-        near_one = [SynthesisParams(F(2**70), F(99, 100))]
-        self.check_search(fx.larry_environment(), fx.regret_beliefs(), near_one)
+        # epsilon / hi at most one, exactly a power of two, or just above one.
+        def near_powers_of_two(hi):
+            tiny = F(1, 10**9)
+            scales = (1 - tiny, ONE, 1 + tiny)
+            return [hi * 2**k * scale for k in (0, 1, 2, 5, 70) for scale in scales]
+
+        self.check_search(fx.larry_environment(), fx.regret_beliefs(), near_powers_of_two)
         for env, mu in self.seeded_instances(27, 10):
-            self.check_search(env, mu, near_one)
+            self.check_search(env, mu, near_powers_of_two)
 
     def test_far_search_is_fast(self):
-        shrink, hi = F(999, 1000), F(1, 3)
+        # 2^70 is far above hi, so it is halved about 70 times in closed form,
+        # and the book's entries stay small.
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
         started = time.perf_counter()
-        eps = _first_power_at_most(F(2**70), shrink, hi)
+        book = synthesize_dutch_book(env, mu, F(2**70))
         assert time.perf_counter() - started < 2.0
-        assert eps <= hi < eps / shrink
+        assert all(x.denominator < 2**16 for row in book.values() for x in row.values())
 
-    @pytest.mark.parametrize("eps", [F(1, 3), F(1, 4), F(2, 3), F(1, 2)])
+    @pytest.mark.parametrize("eps", [ONE, F(3, 4), F(2), F(3, 2)])
     def test_first_power_at_most(self, eps):
-        expected = linear_epsilon(eps, F(1, 2), F(1, 3))
-        assert _first_power_at_most(eps, F(1, 2), F(1, 3)) == expected
+        # eps in units of hi: exactly hi, below it, twice it, and in between.
+        self.check_search(fx.larry_environment(), fx.regret_beliefs(), lambda hi: [eps * hi])

@@ -129,6 +129,14 @@ class TestLcpsCpsDocs:
         assert again.states == cps.states
         assert again.conditionals == cps.conditionals
 
+    def test_cps_rejects_a_state_with_a_comma(self):
+        # A key "a,b,c" could not tell state "a,b" and "c" from "a", "b", "c".
+        from dutchbook import Lcps, lcps_to_cps
+
+        cps = lcps_to_cps(Lcps(({"a,b": F(1)}, {"c": F(1)})), ("a,b", "c"))
+        with pytest.raises(InputError, match=r"cps state 'a,b' contains ','"):
+            sz.cps_to_doc(cps)
+
     def test_cps_requires_all_events(self):
         doc = {"conditionals": {"a,b": {"a": "1"}, "a": {"a": "1"}}}
         with pytest.raises(InputError, match="conditioning events"):
