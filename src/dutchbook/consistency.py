@@ -114,8 +114,7 @@ def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
     derived = derive_beliefs(env, lcps)
     for h in derived:
         for s, m in mu.get(h, {}).items():
-            if type(m) is not Fraction:
-                _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
+            _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
     same_rows = mu.keys() == derived.keys()
     return same_rows and all(dist_equal(row, mu[h]) for h, row in derived.items())
 
@@ -205,10 +204,15 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
 
     One pass classifies the parent-child edges; only the pairs whose first
     non-ok edge is bad are then visited (see `check_forward_consistency`).
+    By its first bullet, the pairs whose first non-ok edge is a -> c are
+    exactly (h, c) for h = a and for each ancestor h that ok edges join to a,
+    so each bad edge is walked up from a while the edge into h is ok. Each
+    such (h, c) violates at the edge's first mismatching state (third
+    bullet); it is checked explicitly, like the pairs (h, d) below c.
     """
     forest, states = env.forest, env.consistent_states
     mass: dict[str, Fraction] = {}  # child c -> mu(S(c)|parent)
-    bad: dict[str, str] = {}  # child of a bad edge -> its first mismatching state
+    bad: set[str] = set()  # children of the bad edges
     for c, a in forest.parent.items():
         row_a, row_c = mu[a], mu[c]
         m = mass[c] = _exact_sum(row_a.get(s, ZERO) for s in states[c])
@@ -218,43 +222,25 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
                 # mu(s|a) == mu(s|c) * m, cross-multiplied
                 x, y = row_a.get(s, ZERO), row_c.get(s, ZERO)
                 if x.numerator * y.denominator * q != y.numerator * p * x.denominator:
-                    bad[c] = s
+                    bad.add(c)
                     break
-    if not bad:
-        return
-
-    # Nodes with an all-ok path down to the parent of a bad edge.
-    hot: set[str] = set()
+    found: dict[str, list[str]] = {}  # h -> children c of the bad edges that ok edges join h to
     for c in bad:
-        a = forest.parent[c]
-        while a not in hot:
-            hot.add(a)
-            if a in bad or not mass.get(a):  # a root, or a bad or zero edge into a
+        h = forest.parent[c]
+        while True:
+            found.setdefault(h, []).append(c)
+            if h in bad or not mass.get(h):  # a root, or a bad or zero edge into h
                 break
-            a = forest.parent[a]
+            h = forest.parent[h]
 
-    for h in forest.nodes:
-        if h not in hot:
-            continue
-        found: list[tuple[int, str, ForwardViolation | None]] = []  # None: check explicitly
-        stack = [(h, ONE)]  # (node, mu(S(node)|h)) along all-ok chains
-        while stack:
-            a, m = stack.pop()
-            for c in forest.children[a]:
-                if c in bad:
-                    s, mc = bad[c], m * mass[c]
-                    v = ForwardViolation(h, c, s, mu[h].get(s, ZERO), mu[c].get(s, ZERO) * mc)
-                    found.append((forest.index[c], c, v))
-                    below = list(forest.children[c])
-                    while below:
-                        d = below.pop()
-                        found.append((forest.index[d], d, None))
-                        below.extend(forest.children[d])
-                elif mass[c] and c in hot:
-                    stack.append((c, m * mass[c]))
-        found.sort(key=lambda item: item[0])
-        for _, d, v in found:
-            if v is None:
-                v = _pair_violation(mu, h, d, states[d])
+    for h in sorted(found, key=forest.index.__getitem__):
+        pairs: list[tuple[int, str]] = []  # each such c and every node below it
+        below = list(found[h])
+        while below:
+            d = below.pop()
+            pairs.append((forest.index[d], d))
+            below.extend(forest.children[d])
+        for _, d in sorted(pairs):
+            v = _pair_violation(mu, h, d, states[d])
             if v is not None:
                 yield v

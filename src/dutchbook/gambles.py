@@ -6,7 +6,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, InternalError, PreconditionViolation, UnsupportedEnvironment
@@ -61,9 +60,8 @@ def expected_payoff(nu: Mapping[str, Fraction], gamble: Mapping[str, Fraction]) 
     total = ZERO
     for s, x in gamble.items():
         m = nu.get(s, ZERO)
-        if type(m) is not Fraction or type(x) is not Fraction:
-            _require_rational(m, "non-rational mass at %r", s)
-            _require_rational(x, "gamble pays non-rational %r on %r", x, s)
+        _require_rational(m, "non-rational mass at %r", s)
+        _require_rational(x, "gamble pays non-rational %r on %r", x, s)
         total += m * x
     return total
 
@@ -86,8 +84,7 @@ def _check_supports(env: LearningEnvironment, g: GambleSystem) -> None:
         env.forest.require_node(h)
         for s, x in gamble.items():
             env.require_state(s)
-            if not isinstance(x, Rational):
-                raise DomainError(f"gamble at {h!r} pays non-rational {x!r} on {s!r}")
+            _require_rational(x, "gamble at %r pays non-rational %r on %r", h, x, s)
             if x != 0 and s not in env.reach[h]:
                 raise DomainError(f"gamble at {h!r} pays {x} on {s!r} outside S(h)")
 
@@ -102,8 +99,7 @@ def accepts_system(
         gamble = g.get(h, {})
         belief = mu[h]
         for s in gamble:
-            if type(belief.get(s, ZERO)) is not Fraction:
-                _require_rational(belief[s], "mu[%r]: non-rational mass at %r", h, s)
+            _require_rational(belief.get(s, ZERO), "mu[%r]: non-rational mass at %r", h, s)
         value = expected_payoff(belief, gamble)
         detail[h] = (value, _accepts(value, belief, gamble))
     return AcceptanceReport(all(ok for _, ok in detail.values()), detail)

@@ -34,11 +34,17 @@ def _exact_sum(values: Iterable[Rational]) -> Fraction:
     return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
 
 
+def _is_rational(value: object) -> bool:
+    """True for a Rational; a Fraction passes on its type, before the slower
+    check against the ABC."""
+    return type(value) is Fraction or isinstance(value, Rational)
+
+
 def _require_rational(value: object, message: str, *args: object, error=DomainError) -> None:
     """Raise error(message % args) unless value is a Rational: a float would
     make exact comparisons pass or fail by rounding. The message is only
     formatted on failure."""
-    if not isinstance(value, Rational):
+    if not _is_rational(value):
         raise error(message % args)
 
 
@@ -94,19 +100,22 @@ class ContingencyForest:
         self.roots: tuple[str, ...] = tuple(h for h in self.nodes if h not in self.parent)
         self.leaves: tuple[str, ...] = tuple(h for h in self.nodes if not children[h])
 
-        # Root-to-node chain per node; walking it also detects parent cycles.
+        # Root-to-node chains in one walk down from the roots. Each node has
+        # one parent, so a node the walk misses lies below a parent cycle;
+        # the first such node is walked up to its first repeated ancestor.
         chains: dict[str, tuple[str, ...]] = {}
+        stack = [(r,) for r in self.roots]
+        while stack:
+            chain = stack.pop()
+            chains[chain[-1]] = chain
+            stack.extend(chain + (c,) for c in self.children[chain[-1]])
         for h in self.nodes:
-            rev = [h]
-            seen = {h}
-            cur = h
-            while cur in self.parent:
-                cur = self.parent[cur]
-                if cur in seen:
-                    raise InvalidEnvironment(f"cycle in forest through {cur!r}")
-                seen.add(cur)
-                rev.append(cur)
-            chains[h] = tuple(reversed(rev))
+            if h not in chains:
+                seen, cur = {h}, self.parent[h]
+                while cur not in seen:
+                    seen.add(cur)
+                    cur = self.parent[cur]
+                raise InvalidEnvironment(f"cycle in forest through {cur!r}")
         self.chain: dict[str, tuple[str, ...]] = chains
 
     def comparable_pairs(self) -> Iterable[tuple[str, str]]:
@@ -242,7 +251,7 @@ def validate_belief_system(
         if bad:
             violations.append((h, f"unknown states {bad}"))
             continue
-        if not all(isinstance(m, Rational) for m in row.values()):
+        if not all(map(_is_rational, row.values())):
             violations.append((h, "non-rational mass"))
             continue
         if any(m.numerator < 0 for m in row.values()):

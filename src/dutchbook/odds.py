@@ -152,8 +152,7 @@ def discounted_odds_ratio(
     a = mu[h].get(s, ZERO)
     b = mu[h].get(sp, ZERO)
     for state, mass in ((s, a), (sp, b)):
-        if type(mass) is not Fraction:
-            _require_rational(mass, "mu[%r]: non-rational mass at %r", h, state)
+        _require_rational(mass, "mu[%r]: non-rational mass at %r", h, state)
     if a == 0 and b == 0:
         raise IndeterminateRatio(f"both beliefs zero at {h!r} for {s!r},{sp!r}")
     return _ratio(a / reach[s], b / reach[sp])
@@ -186,8 +185,7 @@ def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> Coheren
     for h in env.forest.nodes:
         row = mu[h]
         for s, mass in row.items():
-            if type(mass) is not Fraction:  # isinstance on the ABC costs more
-                _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
+            _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
         weights[h] = {s: row.get(s, ZERO) / p for s, p in env.reach[h].items()}
     return CoherenceGraph(env.states, weights)
 

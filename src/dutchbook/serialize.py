@@ -313,5 +313,5 @@ def load_file(path: str) -> Any:
         raise InputError(f"file not found: {path}")
     except OSError as exc:  # a directory, or no permission
         raise InputError(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long or too deep
         raise InputError(f"{path}: invalid JSON ({exc})")

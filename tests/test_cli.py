@@ -376,6 +376,15 @@ class TestErrorHandling:
         code, payload = run(capsys, "validate", "--env", bad)
         assert code == 2
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["validate", "--env", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["code"] == "input"
+        assert captured.err == ""
+
     def test_usage_error_is_json(self, capsys):
         code, payload = run(capsys, "simulate", "--env", DATA / "larry.json")
         assert code == 2

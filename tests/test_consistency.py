@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -323,6 +324,44 @@ def edge_kind(env, mu, c):
     return "bad" if pair_fails else "ok"
 
 
+def deep_forest_environment(rng):
+    """A caterpillar (spine c0 -> c1 -> ... with a leaf l_i off each c_i) or a
+    binary tree, of 41-159 contingencies, one state per leaf: the benchmark's
+    deep-forest shapes. Half the node lists are shuffled."""
+    if rng.random() < 0.5:
+        nodes, parent = ["c0"], {}
+        for i in range(1, rng.randint(21, 80)):
+            nodes += [f"c{i}", f"l{i - 1}"]
+            parent[f"c{i}"] = parent[f"l{i - 1}"] = f"c{i - 1}"
+    else:
+        nodes, parent, leaves = ["t0"], {}, ["t0"]
+        for _ in range(rng.randint(20, 79)):
+            split = leaves.pop(rng.randrange(len(leaves)))
+            for _ in range(2):
+                leaves.append(f"t{len(nodes)}")
+                nodes.append(leaves[-1])
+                parent[leaves[-1]] = split
+    if rng.random() < 0.5:
+        rng.shuffle(nodes)
+    forest = ContingencyForest(nodes, parent)
+    states = [f"s_{leaf}" for leaf in forest.leaves]
+    return build_environment(
+        states, forest, {s: {leaf: F(1)} for s, leaf in zip(states, forest.leaves)}
+    )
+
+
+def fine_lcps(rng, states):
+    """Random LCPS of 1-3 states per level: many levels, so many zero edges."""
+    order = list(states)
+    rng.shuffle(order)
+    levels = []
+    while order:
+        k = rng.randint(1, 3)
+        levels.append(weights(rng, order[:k], full_support=True))
+        order = order[k:]
+    return Lcps(tuple(levels))
+
+
 class TestEdgeCriterionMatchesAllPairs:
     def test_full_sequences_on_seeded_forests(self):
         rng = random.Random(0xF0)
@@ -362,6 +401,41 @@ class TestEdgeCriterionMatchesAllPairs:
             )
             seen["several_violations"] += len(got) > 1
         assert all(count >= 10 for count in seen.values()), seen
+
+    def test_full_sequences_on_seeded_deep_forests(self):
+        rng = random.Random(0xF3)
+        seen = dict.fromkeys(["20_ok_ancestors", "two_bad_on_a_chain", "zero_above_bad"], 0)
+        for _ in range(20):
+            env = deep_forest_environment(rng)
+            forest = env.forest
+            lcps = (fine_lcps if rng.random() < 0.5 else random_lcps)(rng, env.states)
+            mu = lexicographic_filtration(env, lcps)
+            several = [h for h in forest.nodes if len(env.consistent_states[h]) > 1]
+            for h in rng.sample(several, rng.randint(1, 3)):
+                mu[h] = weights(rng, env.consistent_states[h])
+            expected = list(reference_forward_violations(env, mu))
+            got = list(forward_violations(env, mu))
+            assert got == expected
+            assert check_forward_consistency(env, mu) == (got[0] if got else None)
+
+            violating = {(v.h, v.h_prime) for v in expected}
+            kind = {
+                c: "zero" if mass_of(mu[a], env.consistent_states[c]) == 0
+                else "bad" if (a, c) in violating else "ok"
+                for c, a in forest.parent.items()
+            }
+            bad = [c for c in forest.parent if kind[c] == "bad"]
+            ok_ancestors = {
+                c: len(list(itertools.takewhile(
+                    lambda x: kind.get(x) == "ok", reversed(forest.chain[c][:-1])
+                )))
+                for c in bad
+            }
+            above = {c: [kind.get(x) for x in forest.chain[c][1:-1]] for c in bad}
+            seen["20_ok_ancestors"] += any(n >= 20 for n in ok_ancestors.values())
+            seen["two_bad_on_a_chain"] += any("bad" in kinds for kinds in above.values())
+            seen["zero_above_bad"] += any("zero" in kinds for kinds in above.values())
+        assert all(count >= 3 for count in seen.values()), seen
 
     def test_consistent_beliefs_yield_nothing(self):
         rng = random.Random(0xF1)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,57 @@ class TestForest:
     def test_rejects_unknown_parent(self):
         with pytest.raises(InvalidEnvironment):
             ContingencyForest(["a"], {"a": "zz"})
+
+
+def reference_chains(nodes, parent):
+    """The per-node walk to the root that the walk down from the roots
+    replaced: the chains, or the message of the first cycle it meets."""
+    chains = {}
+    for h in nodes:
+        rev, seen, cur = [h], {h}, h
+        while cur in parent:
+            cur = parent[cur]
+            if cur in seen:
+                return f"cycle in forest through {cur!r}"
+            seen.add(cur)
+            rev.append(cur)
+        chains[h] = tuple(reversed(rev))
+    return chains
+
+
+class TestChainsMatchPerNodeWalk:
+    def test_shuffled_forests_with_and_without_cycles(self):
+        rng = random.Random(31)
+        seen = {"chains": 0, "cycle": 0}
+        for _ in range(400):
+            if rng.random() < 0.5:
+                forest = random_forest(rng, 14, chain_bias=0.8)
+                nodes, parent = list(forest.nodes), dict(forest.parent)
+            else:  # any parent but itself, so cycles are common
+                nodes = [f"h{i}" for i in range(rng.randint(2, 14))]
+                parent = {
+                    h: rng.choice([p for p in nodes if p != h])
+                    for h in nodes if rng.random() < 0.8
+                }
+            rng.shuffle(nodes)
+            expected = reference_chains(nodes, parent)
+            if isinstance(expected, str):
+                with pytest.raises(InvalidEnvironment) as err:
+                    ContingencyForest(nodes, parent)
+                assert str(err.value) == expected
+                seen["cycle"] += 1
+            else:
+                assert ContingencyForest(nodes, parent).chain == expected
+                seen["chains"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_long_chain_builds_in_linear_steps(self):
+        n = 4000
+        nodes = [f"h{i}" for i in range(n)]
+        started = time.perf_counter()
+        forest = ContingencyForest(nodes, {nodes[i]: nodes[i - 1] for i in range(1, n)})
+        assert time.perf_counter() - started < 1.0
+        assert forest.chain[nodes[-1]] == tuple(nodes)
 
 
 class TestEnvironment:

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from dutchbook import serialize as sz
 from dutchbook.errors import InputError
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 class TestRationals:
@@ -207,8 +209,13 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "content",
-        [b"1" + b"0" * 5000, b"\xff\xfe{}", b'{"a": 1' + b"0" * 4400 + b"}"],
-        ids=["5001-digit-document", "not-utf-8", "4401-digit-value"],
+        [
+            b"1" + b"0" * 5000,
+            b"\xff\xfe{}",
+            b'{"a": 1' + b"0" * 4400 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["5001-digit-document", "not-utf-8", "4401-digit-value", "100000-deep-array"],
     )
     def test_unreadable_json_is_input_error(self, tmp_path, content):
         bad = tmp_path / "bad.json"
@@ -219,3 +226,52 @@ class TestFiles:
     def test_directory_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             sz.load_file(str(tmp_path))
+
+
+def _nonzero(table):
+    """A table of rows without its zero entries and empty rows."""
+    rows = {key: {k: v for k, v in row.items() if v} for key, row in table.items()}
+    return {key: row for key, row in rows.items() if row}
+
+
+def _environment_parts(env):
+    return env.states, env.forest.nodes, env.forest.parent, env.eta  # eta keeps no zeros
+
+
+class TestSampleFilesMatchFixtures:
+    """The CLI tests read tests/data; the library tests build the same
+    instances with `dutchbook.fixtures`. Both must stay one instance set."""
+
+    @pytest.mark.parametrize(
+        "name, fixture",
+        [
+            ("larry", fx.larry_environment),
+            ("skewed", fx.skewed_environment),
+            ("nested", fx.nested_environment),
+        ],
+    )
+    def test_environments(self, name, fixture):
+        got = sz.environment_from_doc(sz.load_file(str(DATA / f"{name}.json")))
+        assert _environment_parts(got) == _environment_parts(fixture())
+
+    @pytest.mark.parametrize(
+        "name, read, fixture",
+        [
+            ("regret", sz.beliefs_from_doc, fx.regret_beliefs),
+            ("uniform", sz.beliefs_from_doc, fx.uniform_beliefs),
+            ("lex", sz.beliefs_from_doc, fx.lex_beliefs),
+            ("skewed-beliefs", sz.beliefs_from_doc, fx.skewed_beliefs),
+            ("nested-ok", sz.beliefs_from_doc, fx.nested_ok_beliefs),
+            ("drift", sz.beliefs_from_doc, fx.drift_beliefs),
+            ("larry-book", sz.gambles_from_doc, fx.larry_book),
+            ("ddb-nested", sz.gambles_from_doc, fx.nested_deterministic_book),
+        ],
+    )
+    def test_tables(self, name, read, fixture):
+        got = read(sz.load_file(str(DATA / f"{name}.json")))
+        assert _nonzero(got) == _nonzero(fixture())
+
+    def test_lcps(self):
+        got = sz.lcps_from_doc(sz.load_file(str(DATA / "lex-lcps.json")))
+        levels = [{s: m for s, m in level.items() if m} for level in got.levels]
+        assert levels == [{s: m for s, m in level.items() if m} for level in fx.lex_lcps().levels]
