@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import InputError, InternalError, PreconditionViolation
@@ -17,7 +18,6 @@ from .model import (
     ZERO,
     _exact_sum,
     _require_rational,
-    dist_equal,
     validate_belief_system,
 )
 from .odds import (
@@ -65,9 +65,9 @@ def validate_lcps(lcps: Lcps, states: tuple[str, ...]) -> None:
             _require_rational(
                 mass, "LCPS level %d: non-rational mass at %r", m, s, error=InputError
             )
-        if any(mass < 0 for mass in level.values()):
+        if any(mass.numerator < 0 for mass in level.values()):
             raise InputError(f"LCPS level {m} has negative mass")
-        if sum(level.values(), ZERO) != ONE:
+        if _exact_sum(level.values()) != ONE:
             raise InputError(f"LCPS level {m} does not sum to 1")
     positive = Counter(s for level in lcps.levels for s, mass in level.items() if mass > 0)
     for s in states:
@@ -96,27 +96,64 @@ class ConsistencyResult:
 
 
 def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
-    """Bayes rule at every contingency from the first level explaining it."""
+    """Bayes rule at every contingency from the first level explaining it.
+
+    At h the weights p(h|s)*l(s) are kept as integer pairs (a, b) and summed
+    over their lcm to n/d, so each belief is the one Fraction a*d / (b*n)."""
     validate_lcps(lcps, env.states)
     beliefs: BeliefSystem = {}
     for h in env.forest.nodes:
-        reach = env.reach[h]
         level = lcps.levels[lcps.level_for(env.consistent_states[h])]
-        weights = {s: p * level.get(s, ZERO) for s, p in reach.items()}
-        total = sum(weights.values(), ZERO)
-        beliefs[h] = {s: w / total for s, w in weights.items() if w > 0}
+        weights = {}
+        for s, p in env.reach[h].items():
+            m = level.get(s)
+            if m:
+                weights[s] = p.numerator * m.numerator, p.denominator * m.denominator
+        d = lcm(*(b for _, b in weights.values()))
+        n = sum(a * (d // b) for a, b in weights.values())
+        beliefs[h] = {s: Fraction(a * d, b * n) for s, (a, b) in weights.items()}
     return beliefs
 
 
 def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
     """True iff mu is exactly the belief system the LCPS induces, row for row;
-    a non-rational mass in a row of the forest raises DomainError."""
-    derived = derive_beliefs(env, lcps)
-    for h in derived:
+    a non-rational mass in a row of the forest raises DomainError.
+
+    The LCPS is validated and every contingency's level l found first, as
+    `derive_beliefs` does. Row mu(.|h) then equals the Bayes row of l iff
+    - mu(.|h) has no nonzero mass outside S(h),
+    - mu(.|h) sums to 1, and
+    - on S(h), mu(.|h) is proportional to K(s) = p(h|s)*l(s), checked by
+      mu(s|h)*K(r) = mu(r|h)*K(s) in integers against the first state r of
+      S(h) with l(r) > 0; so mu(s|h) = 0 wherever l(s) = 0.
+    Proof: the Bayes row is K/sum(K) on S(h) and 0 elsewhere, so it passes;
+    conversely, two rows that are proportional and both sum to 1 are equal.
+    """
+    validate_lcps(lcps, env.states)
+    nodes = env.forest.nodes
+    levels = [lcps.levels[lcps.level_for(env.consistent_states[h])] for h in nodes]
+    for h in nodes:
         for s, m in mu.get(h, {}).items():
             _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
-    same_rows = mu.keys() == derived.keys()
-    return same_rows and all(dist_equal(row, mu[h]) for h, row in derived.items())
+    if mu.keys() != env.forest.index.keys():
+        return False
+    for h, level in zip(nodes, levels):
+        row, reach = mu[h], env.reach[h]
+        if any(m and s not in reach for s, m in row.items()):
+            return False
+        if _exact_sum(row.values()) != ONE:
+            return False
+        r = next(s for s in reach if level.get(s))
+        pr, lr, mr = reach[r], level[r], row.get(r, ZERO)
+        # K(r)/mu(r|h) as the integer ratio kn/kd
+        kn = pr.numerator * lr.numerator * mr.denominator
+        kd = pr.denominator * lr.denominator * mr.numerator
+        for s, p in reach.items():
+            m, l = row.get(s, ZERO), level.get(s, ZERO)
+            if (m.numerator * p.denominator * l.denominator * kn
+                    != kd * m.denominator * p.numerator * l.numerator):
+                return False
+    return True
 
 
 def require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:

@@ -14,6 +14,7 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _exact_sum,
     _require_rational,
     has_deterministic_continuation,
 )
@@ -121,14 +122,18 @@ def classify_dutch_book(env: LearningEnvironment, g: GambleSystem) -> BookVerdic
 def classify_deterministic(env: LearningEnvironment, g: GambleSystem) -> DeterministicVerdict:
     """Realized cumulative payoff along every consistent path of every state."""
     _check_supports(env, g)
+    pays: dict[str, dict[str, Fraction]] = {s: {} for s in env.states}  # s -> h -> payoff != 0
+    for h, gamble in g.items():
+        for s, x in gamble.items():
+            if x:
+                pays[s][h] = x
     per_path: dict[str, dict[str, Fraction]] = {}
     flat: list[Fraction] = []
     for s in env.states:
         per_path[s] = {}
+        paid = pays[s]
         for leaf in env.eta[s]:
-            total = sum(
-                (g.get(h, {}).get(s, ZERO) for h in env.forest.chain[leaf]), ZERO
-            )
+            total = _exact_sum(paid[h] for h in env.forest.chain[leaf] if h in paid)
             per_path[s][leaf] = total
             flat.append(total)
     verdict = all(v <= 0 for v in flat) and any(v < 0 for v in flat)

@@ -5,8 +5,8 @@ a verdict path ever touches floating point.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -27,11 +27,17 @@ def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
 
 
 def _exact_sum(values: Iterable[Rational]) -> Fraction:
-    """Sum of rationals; numerators over a shared denominator add as ints."""
-    numerators: dict[int, int] = defaultdict(int)
+    """Sum of rationals, added as integers over the running lcm of the
+    denominators; one Fraction is built at the end."""
+    n, d = 0, 1
     for v in values:
-        numerators[v.denominator] += v.numerator
-    return sum((Fraction(n, d) for d, n in numerators.items()), ZERO)
+        q = v.denominator
+        if d % q:
+            m = lcm(d, q)
+            n *= m // d
+            d = m
+        n += v.numerator * (d // q)
+    return Fraction(n, d)
 
 
 def _is_rational(value: object) -> bool:
@@ -48,20 +54,13 @@ def _require_rational(value: object, message: str, *args: object, error=DomainEr
         raise error(message % args)
 
 
-def dist_equal(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> bool:
-    """Exact equality of distributions, treating missing keys as zero."""
-    for k in set(a) | set(b):
-        if a.get(k, ZERO) != b.get(k, ZERO):
-            return False
-    return True
-
-
 def check_distribution(dist: Mapping[str, Fraction], what: str) -> None:
-    total = ZERO
+    """Raise InvalidEnvironment unless the rational masses are non-negative
+    and sum to 1."""
     for key, mass in dist.items():
-        if mass < 0:
+        if mass.numerator < 0:
             raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
-        total += mass
+    total = _exact_sum(dist.values())
     if total != ONE:
         raise InvalidEnvironment(f"{what}: masses sum to {total}, not 1")
 
@@ -197,7 +196,7 @@ def build_environment(
         if bad:
             raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
         check_distribution(row, f"eta[{s!r}]")
-        eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l] > 0}
+        eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l].numerator}
         for leaf, mass in eta_table[s].items():
             for h in forest.chain[leaf]:
                 row_h = reach[h]

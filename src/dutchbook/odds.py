@@ -313,13 +313,17 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
 
     # Every finite edge must agree with the potentials: pot(s)/w(s|h) is
     # constant on positive[h]. The least failing edge at h runs from its
-    # head to the first state that disagrees with the head.
+    # head to the first state that disagrees with the head, compared as
+    # pot(s)*w(head) != pot(head)*w(s) in integers.
     failing = []
     for h, pos in positive.items():
         if pos:
             w, head = weights[h], pos[0]
-            c = potential[head] / w[head]
-            s = next((s for s in pos if potential[s] / w[s] != c), None)
+            ph, wh = potential[head], w[head]
+            cn, cd = ph.numerator * wh.denominator, ph.denominator * wh.numerator
+            s = next((s for s in pos
+                      if potential[s].numerator * w[s].denominator * cd
+                      != cn * potential[s].denominator * w[s].numerator), None)
             if s is not None:
                 failing.append((order[head], order[s], h, head, s))
     if failing:

@@ -62,10 +62,22 @@ def _row_to_doc(row: Mapping[str, Fraction], order: Mapping[str, int]) -> dict[s
     return {k: format_rational(row[k]) for k in keys if row[k] != 0}
 
 
-def _rational_row(doc: Any, where: str) -> dict[str, Fraction]:
+def _rational_row(doc: Any, where: str, memo: dict[str, Fraction]) -> dict[str, Fraction]:
+    """A row of rationals. `memo` holds the value of each string already read
+    in this document, so each distinct string is parsed once; any other
+    value goes to `parse_rational`, which rejects it."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object of rationals")
-    return {k: parse_rational(v, f"{where}[{k!r}]") for k, v in doc.items()}
+    row = {}
+    for k, v in doc.items():
+        if type(v) is str:
+            x = memo.get(v)
+            if x is None:
+                x = memo[v] = parse_rational(v, f"{where}[{k!r}]")
+            row[k] = x
+        else:
+            row[k] = parse_rational(v, f"{where}[{k!r}]")
+    return row
 
 
 # ---------------------------------------------------------------- environment
@@ -92,7 +104,8 @@ def environment_from_doc(doc: Any) -> LearningEnvironment:
             parent[entry["id"]] = entry["parent"]
     if not isinstance(doc["eta"], dict):
         raise InputError("environment.eta: expected an object")
-    eta = {s: _rational_row(row, f"eta[{s!r}]") for s, row in doc["eta"].items()}
+    memo: dict[str, Fraction] = {}
+    eta = {s: _rational_row(row, f"eta[{s!r}]", memo) for s, row in doc["eta"].items()}
     return build_environment(states, ContingencyForest(nodes, parent), eta)
 
 
@@ -113,7 +126,8 @@ def _table_from_doc(doc: Any, outer: str) -> dict[str, dict[str, Fraction]]:
     table = doc[outer]
     if not isinstance(table, dict):
         raise InputError(f"{outer}: expected an object")
-    return {k: _rational_row(row, f"{outer}[{k!r}]") for k, row in table.items()}
+    memo: dict[str, Fraction] = {}
+    return {k: _rational_row(row, f"{outer}[{k!r}]", memo) for k, row in table.items()}
 
 
 def beliefs_from_doc(doc: Any) -> BeliefSystem:
@@ -140,7 +154,8 @@ def lcps_from_doc(doc: Any) -> Lcps:
     levels = doc["levels"]
     if not isinstance(levels, list) or not levels:
         raise InputError("lcps.levels: expected a nonempty list")
-    return Lcps(tuple(_rational_row(level, "lcps level") for level in levels))
+    memo: dict[str, Fraction] = {}
+    return Lcps(tuple(_rational_row(level, "lcps level", memo) for level in levels))
 
 
 def lcps_to_doc(lcps: Lcps, states: tuple[str, ...]) -> dict:
@@ -154,7 +169,7 @@ def cps_from_doc(doc: Any) -> CompleteCps:
     if not isinstance(table, dict) or not table:
         raise InputError("cps.conditionals: expected a nonempty object")
     states = tuple(max(table, key=lambda k: len(k.split(","))).split(","))
-    conditionals = {}
+    conditionals, memo = {}, {}
     for key, row in table.items():
         subset = key.split(",")
         event = frozenset(subset)
@@ -164,7 +179,7 @@ def cps_from_doc(doc: Any) -> CompleteCps:
             raise InputError(f"cps key {key!r} names an event already given")
         if not event.issubset(states):
             raise InputError(f"cps key {key!r} has states outside {states}")
-        conditionals[event] = _rational_row(row, f"cps[{key!r}]")
+        conditionals[event] = _rational_row(row, f"cps[{key!r}]", memo)
     expected = (1 << len(states)) - 1
     if len(conditionals) != expected:
         raise InputError(

@@ -275,3 +275,93 @@ class TestSampleFilesMatchFixtures:
         got = sz.lcps_from_doc(sz.load_file(str(DATA / "lex-lcps.json")))
         levels = [{s: m for s, m in level.items() if m} for level in got.levels]
         assert levels == [{s: m for s, m in level.items() if m} for level in fx.lex_lcps().levels]
+
+
+def _env_doc(v):
+    contingencies = [{"id": "l1", "parent": None}, {"id": "l2", "parent": None}]
+    eta = {"a": {"l1": v[0], "l2": v[1]}, "b": {"l1": v[2], "l2": v[3]}}
+    return {"states": ["a", "b"], "contingencies": contingencies, "eta": eta}
+
+
+# Each reader with a document builder over four cells, the cells' positions
+# in error messages, and the four values read back.
+READERS = {
+    "environment": (
+        sz.environment_from_doc, _env_doc,
+        ["eta['a']['l1']", "eta['a']['l2']", "eta['b']['l1']", "eta['b']['l2']"],
+        lambda env: [env.eta["a"]["l1"], env.eta["a"]["l2"], env.eta["b"]["l1"],
+                     env.eta["b"]["l2"]],
+    ),
+    "beliefs": (
+        sz.beliefs_from_doc,
+        lambda v: {"beliefs": {"h": {"a": v[0], "b": v[1]}, "k": {"a": v[2], "b": v[3]}}},
+        ["beliefs['h']['a']", "beliefs['h']['b']", "beliefs['k']['a']", "beliefs['k']['b']"],
+        lambda mu: [mu["h"]["a"], mu["h"]["b"], mu["k"]["a"], mu["k"]["b"]],
+    ),
+    "gambles": (
+        sz.gambles_from_doc,
+        lambda v: {"gambles": {"h": {"a": v[0], "b": v[1]}, "k": {"a": v[2], "b": v[3]}}},
+        ["gambles['h']['a']", "gambles['h']['b']", "gambles['k']['a']", "gambles['k']['b']"],
+        lambda g: [g["h"]["a"], g["h"]["b"], g["k"]["a"], g["k"]["b"]],
+    ),
+    "lcps": (
+        sz.lcps_from_doc,
+        lambda v: {"levels": [{"a": v[0], "b": v[1]}, {"c": v[2], "d": v[3]}]},
+        ["lcps level['a']", "lcps level['b']", "lcps level['c']", "lcps level['d']"],
+        lambda lcps: [lcps.levels[0]["a"], lcps.levels[0]["b"], lcps.levels[1]["c"],
+                      lcps.levels[1]["d"]],
+    ),
+    "cps": (
+        sz.cps_from_doc,
+        lambda v: {"conditionals": {"a,b": {"a": v[0], "b": v[1]}, "a": {"a": v[2]},
+                                    "b": {"b": v[3]}}},
+        ["cps['a,b']['a']", "cps['a,b']['b']", "cps['a']['a']", "cps['b']['b']"],
+        lambda cps: [cps.conditionals[frozenset("ab")]["a"],
+                     cps.conditionals[frozenset("ab")]["b"],
+                     cps.conditionals[frozenset("a")]["a"], cps.conditionals[frozenset("b")]["b"]],
+    ),
+}
+_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+
+
+class TestReaderMemo:
+    """Each reader parses each distinct string once per document; a repeated
+    bad value still fails where it first occurs, with parse_rational's message."""
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_repeated_strings_are_parsed_once(self, name, monkeypatch):
+        read, build, _, values = READERS[name]
+        calls = []
+        parse = sz.parse_rational
+
+        def counted(text, where):
+            calls.append(text)
+            return parse(text, where)
+
+        monkeypatch.setattr(sz, "parse_rational", counted)
+        assert values(read(build(["1/2"] * 4))) == [F(1, 2)] * 4
+        assert calls == ["1/2"]
+        calls.clear()
+        assert values(read(build(["1/3", "2/3", "1/3", "2/3"]))) == [F(1, 3), F(2, 3)] * 2
+        assert calls == ["1/3", "2/3"]
+
+    @pytest.mark.parametrize("bad", ["1/0", "x", "1" * (_LIMIT + 1)])
+    @pytest.mark.parametrize("name", READERS)
+    def test_repeated_bad_string_fails_at_its_first_occurrence(self, name, bad):
+        read, build, where, _ = READERS[name]
+        with pytest.raises(InputError) as expected:
+            sz.parse_rational(bad, where[1])
+        with pytest.raises(InputError) as got:
+            read(build(["1/2", bad, bad, bad]))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"{where[1]}: ")
+        if bad == "x":
+            assert str(got.value) == f"{where[1]}: expected rational string 'p/q', got 'x'"
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_list_value_is_rejected(self, name):
+        read, build, where, _ = READERS[name]
+        message = f"{where[2]}: expected rational string 'p/q', got ['1/2']"
+        with pytest.raises(InputError) as got:
+            read(build(["1/2", "1/2", ["1/2"], "1/2"]))
+        assert str(got.value) == message
