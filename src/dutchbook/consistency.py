@@ -18,6 +18,7 @@ from .model import (
     ZERO,
     _exact_sum,
     _require_rational,
+    mass_of,
     validate_belief_system,
 )
 from .odds import (
@@ -95,13 +96,15 @@ class ConsistencyResult:
     violation: CoherenceViolation | None = None
 
 
-def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
-    """Bayes rule at every contingency from the first level explaining it.
-
-    At h the weights p(h|s)*l(s) are kept as integer pairs (a, b) and summed
-    over their lcm to n/d, so each belief is the one Fraction a*d / (b*n)."""
+def _bayes_rows(
+    env: LearningEnvironment, lcps: Lcps
+) -> dict[str, tuple[dict[str, tuple[int, int]], int, int]]:
+    """Bayes rule at every contingency h, in node order, from the first
+    level l explaining it, in integers: the weights p(h|s)*l(s) > 0 in state
+    order as pairs (a, b), the lcm d of the b and n = sum of a*d/b, so that
+    mu(s|h) = a*d / (b*n)."""
     validate_lcps(lcps, env.states)
-    beliefs: BeliefSystem = {}
+    rows = {}
     for h in env.forest.nodes:
         level = lcps.levels[lcps.level_for(env.consistent_states[h])]
         weights = {}
@@ -110,48 +113,43 @@ def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
             if m:
                 weights[s] = p.numerator * m.numerator, p.denominator * m.denominator
         d = lcm(*(b for _, b in weights.values()))
-        n = sum(a * (d // b) for a, b in weights.values())
-        beliefs[h] = {s: Fraction(a * d, b * n) for s, (a, b) in weights.items()}
-    return beliefs
+        rows[h] = weights, d, sum(a * (d // b) for a, b in weights.values())
+    return rows
+
+
+def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
+    """Bayes rule at every contingency from the first level explaining it:
+    one Fraction a*d / (b*n) per weight of `_bayes_rows`."""
+    return {
+        h: {s: Fraction(a * d, b * n) for s, (a, b) in weights.items()}
+        for h, (weights, d, n) in _bayes_rows(env, lcps).items()
+    }
 
 
 def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
     """True iff mu is exactly the belief system the LCPS induces, row for row;
     a non-rational mass in a row of the forest raises DomainError.
 
-    The LCPS is validated and every contingency's level l found first, as
-    `derive_beliefs` does. Row mu(.|h) then equals the Bayes row of l iff
-    - mu(.|h) has no nonzero mass outside S(h),
-    - mu(.|h) sums to 1, and
-    - on S(h), mu(.|h) is proportional to K(s) = p(h|s)*l(s), checked by
-      mu(s|h)*K(r) = mu(r|h)*K(s) in integers against the first state r of
-      S(h) with l(r) > 0; so mu(s|h) = 0 wherever l(s) = 0.
-    Proof: the Bayes row is K/sum(K) on S(h) and 0 elsewhere, so it passes;
-    conversely, two rows that are proportional and both sum to 1 are equal.
+    Row mu(.|h) is read against the Bayes row (weights (a, b), d, n) of
+    `_bayes_rows`. It matches iff it has exactly as many nonzero masses as
+    there are weights, and m = mu(s|h) has m.numerator*b*n = m.denominator*a*d
+    at each weight. Proof: every Bayes mass a*d/(b*n) is positive, so a
+    matching row carries each one exactly, at a nonzero mass; the count then
+    leaves no other nonzero mass, negative or outside S(h) included.
     """
-    validate_lcps(lcps, env.states)
-    nodes = env.forest.nodes
-    levels = [lcps.levels[lcps.level_for(env.consistent_states[h])] for h in nodes]
-    for h in nodes:
+    rows = _bayes_rows(env, lcps)
+    for h in rows:
         for s, m in mu.get(h, {}).items():
             _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
-    if mu.keys() != env.forest.index.keys():
+    if mu.keys() != rows.keys():
         return False
-    for h, level in zip(nodes, levels):
-        row, reach = mu[h], env.reach[h]
-        if any(m and s not in reach for s, m in row.items()):
+    for h, (weights, d, n) in rows.items():
+        row = mu[h]
+        if sum(1 for m in row.values() if m) != len(weights):
             return False
-        if _exact_sum(row.values()) != ONE:
-            return False
-        r = next(s for s in reach if level.get(s))
-        pr, lr, mr = reach[r], level[r], row.get(r, ZERO)
-        # K(r)/mu(r|h) as the integer ratio kn/kd
-        kn = pr.numerator * lr.numerator * mr.denominator
-        kd = pr.denominator * lr.denominator * mr.numerator
-        for s, p in reach.items():
-            m, l = row.get(s, ZERO), level.get(s, ZERO)
-            if (m.numerator * p.denominator * l.denominator * kn
-                    != kd * m.denominator * p.numerator * l.numerator):
+        for s, (a, b) in weights.items():
+            m = row.get(s, ZERO)
+            if m.numerator * b * n != m.denominator * a * d:
                 return False
     return True
 
@@ -219,19 +217,21 @@ def check_forward_consistency(
     return next(forward_violations(env, mu), None)
 
 
-def _pair_violation(
+def _conditioning(
     mu: BeliefSystem, h: str, hp: str, shp: tuple[str, ...]
-) -> ForwardViolation | None:
-    """The explicit conditioning check of mu(.|hp) against mu(.|h) on S(hp)."""
-    event_mass = _exact_sum(mu[h].get(s, ZERO) for s in shp)
-    if event_mass == 0:
-        return None
-    for s in shp:
-        lhs = mu[h].get(s, ZERO)
-        rhs = mu[hp].get(s, ZERO) * event_mass
-        if lhs != rhs:
-            return ForwardViolation(h, hp, s, lhs, rhs)
-    return None
+) -> tuple[Fraction, str | None]:
+    """M = mu(S(h')|h) and the first state s of S(h') with mu(s|h) other than
+    mu(s|h') * M, compared by integer cross-multiplication; None when there
+    is no such state or M = 0, where there is nothing to condition."""
+    row_h, row_hp = mu[h], mu[hp]
+    m = mass_of(row_h, shp)
+    if m:
+        p, q = m.numerator, m.denominator
+        for s in shp:
+            x, y = row_h.get(s, ZERO), row_hp.get(s, ZERO)
+            if x.numerator * y.denominator * q != y.numerator * p * x.denominator:
+                return m, s
+    return m, None
 
 
 def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
@@ -248,27 +248,19 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
     bullet); it is checked explicitly, like the pairs (h, d) below c.
     """
     forest, states = env.forest, env.consistent_states
-    mass: dict[str, Fraction] = {}  # child c -> mu(S(c)|parent)
-    bad: set[str] = set()  # children of the bad edges
+    ok: set[str] = set()  # children of the ok edges
+    bad: set[str] = set()  # children of the bad edges; a zero edge is in neither
     for c, a in forest.parent.items():
-        row_a, row_c = mu[a], mu[c]
-        m = mass[c] = _exact_sum(row_a.get(s, ZERO) for s in states[c])
+        m, s = _conditioning(mu, a, c, states[c])
         if m:
-            p, q = m.numerator, m.denominator
-            for s in states[c]:
-                # mu(s|a) == mu(s|c) * m, cross-multiplied
-                x, y = row_a.get(s, ZERO), row_c.get(s, ZERO)
-                if x.numerator * y.denominator * q != y.numerator * p * x.denominator:
-                    bad.add(c)
-                    break
+            (ok if s is None else bad).add(c)
     found: dict[str, list[str]] = {}  # h -> children c of the bad edges that ok edges join h to
     for c in bad:
         h = forest.parent[c]
-        while True:
-            found.setdefault(h, []).append(c)
-            if h in bad or not mass.get(h):  # a root, or a bad or zero edge into h
-                break
+        found.setdefault(h, []).append(c)
+        while h in ok:
             h = forest.parent[h]
+            found.setdefault(h, []).append(c)
 
     for h in sorted(found, key=forest.index.__getitem__):
         pairs: list[tuple[int, str]] = []  # each such c and every node below it
@@ -278,6 +270,6 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
             pairs.append((forest.index[d], d))
             below.extend(forest.children[d])
         for _, d in sorted(pairs):
-            v = _pair_violation(mu, h, d, states[d])
-            if v is not None:
-                yield v
+            m, s = _conditioning(mu, h, d, states[d])
+            if s is not None:
+                yield ForwardViolation(h, d, s, mu[h].get(s, ZERO), mu[d].get(s, ZERO) * m)

@@ -13,6 +13,7 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _exact_sum,
     _require_rational,
     is_uniform_reach,
     mass_of,
@@ -80,7 +81,7 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
             return CpsViolation(c, None, None, min(row.values()), ZERO)
         if any(s not in cps.states for s in row):
             raise InputError(f"row {sorted(c)} has unknown states")
-        total = sum(row.values(), ZERO)
+        total = _exact_sum(row.values())
         on_c = mass_of(row, c)
         if total != ONE or on_c != ONE:
             return CpsViolation(c, None, None, on_c, ONE)

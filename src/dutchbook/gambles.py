@@ -257,13 +257,11 @@ def dutch_book_synthesis(
 def _deterministic_witness_pair(
     env: LearningEnvironment,
     mu: BeliefSystem,
-    violations: Iterable[ForwardViolation] | None = None,
+    violations: Iterable[ForwardViolation],
 ) -> tuple[str, str, str, str, Fraction, Fraction] | None:
     """Find (h, h', s, s') with both odds finite and x = odds at h strictly
-    above y = odds at h', scanning violating comparable pairs in order
-    (`violations`, by default all of `forward_violations`)."""
-    if violations is None:
-        violations = forward_violations(env, mu)
+    above y = odds at h', scanning the violating comparable pairs
+    `violations` in order."""
     for v in violations:
         h, hp = v.h, v.h_prime
         shp = env.consistent_states[hp]

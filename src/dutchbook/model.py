@@ -21,11 +21,6 @@ Distribution = dict[str, Fraction]
 BeliefSystem = dict[str, Distribution]
 
 
-def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
-    """Total mass the distribution puts on the given keys."""
-    return sum((dist.get(k, ZERO) for k in keys), ZERO)
-
-
 def _exact_sum(values: Iterable[Rational]) -> Fraction:
     """Sum of rationals, added as integers over the running lcm of the
     denominators; one Fraction is built at the end."""
@@ -38,6 +33,11 @@ def _exact_sum(values: Iterable[Rational]) -> Fraction:
             d = m
         n += v.numerator * (d // q)
     return Fraction(n, d)
+
+
+def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
+    """Total mass the distribution puts on the given keys."""
+    return _exact_sum(dist.get(k, ZERO) for k in keys)
 
 
 def _is_rational(value: object) -> bool:
@@ -222,15 +222,19 @@ def is_uniform_reach(env: LearningEnvironment) -> bool:
 
 def has_deterministic_continuation(env: LearningEnvironment) -> bool:
     """True iff at every non-leaf h, each consistent state continues through
-    a single child of h on all its paths."""
-    for row in env.eta.values():
-        taken: dict[str, str] = {}  # h -> the child this state's paths take
-        for leaf in row:
-            chain = env.forest.chain[leaf]
-            for h, child in zip(chain, chain[1:]):
-                if taken.setdefault(h, child) != child:
-                    return False
-    return True
+    a single child of h on all its paths.
+
+    Every eta key is a leaf, so a path through a non-leaf h passes one of
+    its children, and S(h) is the union of the children's S(c). A state of
+    S(h) continues through two children iff it lies in two S(c), so the
+    condition holds iff the S(c) are disjoint, that is iff their sizes sum
+    to |S(h)|."""
+    states = env.consistent_states
+    return all(
+        sum(len(states[c]) for c in children) == len(states[h])
+        for h, children in env.forest.children.items()
+        if children
+    )
 
 
 def validate_belief_system(

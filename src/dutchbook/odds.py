@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, InternalError,
                      PreconditionViolation)
-from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
+from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _exact_sum, _require_rational
 
 _ZERO_TAG = "zero"
 _FINITE_TAG = "finite"
@@ -362,7 +362,7 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
         levels[comp_levels[component[s]] - 1].append(s)
     potentials: dict[str, Fraction] = {}
     for members in levels:
-        total = sum((potential[s] for s in members), ZERO)
+        total = _exact_sum(potential[s] for s in members)
         for s in members:
             potentials[s] = potential[s] / total
     return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)

@@ -16,6 +16,7 @@ from .model import (
     Distribution,
     LearningEnvironment,
     ZERO,
+    _exact_sum,
     _require_rational,
     check_distribution,
 )
@@ -147,7 +148,7 @@ def run_rounds(
     for s in tracked:
         hits = rows[s][1]
         n = sum(hits)
-        total = sum((c * payoff[s][leaf] for leaf, c in zip(leaves[s], hits) if c), ZERO)
+        total = _exact_sum(c * payoff[s][leaf] for leaf, c in zip(leaves[s], hits) if c)
         mean_exact = total / n if n else ZERO
         mean = float(mean_exact)
         if n >= 2:

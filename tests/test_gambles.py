@@ -263,7 +263,7 @@ class TestSynthesizeDeterministic:
         # The closed form must pick the first epsilon / 2^k below x - y also
         # where epsilon is exactly (x - y) * 2^k.
         env, mu = fx.nested_environment(), fx.drift_beliefs()
-        *_, x, y = _deterministic_witness_pair(env, mu)
+        *_, x, y = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
         for k in range(6):
             for scale in (F(999, 1000), ONE, F(1001, 1000)):
                 epsilon = (x - y) * 2**k * scale
@@ -345,7 +345,8 @@ class TestSynthesizeDeterministic:
             "h2": {"C": F(1, 4), "D": F(3, 4)},
         }
         assert check_forward_consistency(env, mu).h_prime == "h1"
-        assert _deterministic_witness_pair(env, mu) == ("h0", "h2", "C", "D", F(1), F(1, 3))
+        found = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
+        assert found == ("h0", "h2", "C", "D", F(1), F(1, 3))
         g = synthesize_deterministic_db(env, mu)
         assert set(g) == {"h0", "h2"}
         assert classify_deterministic(env, g).is_deterministic_db
@@ -443,7 +444,7 @@ def reference_synthesize_deterministic_db(env, mu, epsilon=None):
             "environment lacks deterministic continuation; the two-contingency "
             "construction does not yield a deterministic Dutch book here"
         )
-    found = _deterministic_witness_pair(env, mu)
+    found = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
     if found is None:
         raise PreconditionViolation(
             "every violating orientation has an infinite odds ratio; "

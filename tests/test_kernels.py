@@ -141,6 +141,10 @@ def perturbations(rng, env, mu):
     zeros = [s for s in reach if s not in row]
     if zeros:
         yield "explicit zero inside S(h)", {**mu, h: {**row, rng.choice(zeros): ZERO}}
+        t = rng.choice(zeros)  # a state of S(h) where l(s) = 0
+        s, m = next(iter(row.items()))
+        yield "mass moved onto l(s) = 0 inside S(h)", {**mu, h: {**row, s: m / 2, t: m / 2}}
+        yield "a Bayes mass moved onto l(s) = 0", {**mu, h: {**row, s: ZERO, t: m}}
     yield "missing row", {k: v for k, v in mu.items() if k != h}
     yield "extra row", {**mu, "zz": {env.states[0]: ONE}}
     if len(reach) >= 2:
@@ -208,6 +212,21 @@ class TestVerifyCcbsMatchesReference:
         for name in ("row scaled by 2", "mass moved outside S(h)", "missing row", "extra row",
                      "negative entry"):
             assert seen[name] == {False}, name
+
+    def test_support_rule_rejects_mass_where_the_level_is_zero(self):
+        # Moving a whole Bayes mass keeps the count of nonzero masses, so only
+        # the per-weight test can reject it.
+        rng = random.Random(0x5EED)
+        names = ("mass moved onto l(s) = 0 inside S(h)", "a Bayes mass moved onto l(s) = 0")
+        seen = {name: 0 for name in names}
+        for i in range(200):
+            env = (random_environment, wide_environment)[i % 2](rng)
+            lcps = random_lcps(rng, env.states)
+            for name, variant in perturbations(rng, env, derive_beliefs(env, lcps)):
+                if name in seen:
+                    assert verify_ccbs(env, variant, lcps) is False, name
+                    seen[name] += 1
+        assert min(seen.values()) >= 20, seen
 
     def test_float_mass_and_bad_lcps_raise_as_the_reference(self):
         env, good = fx.larry_environment(), fx.uniform_beliefs()

@@ -304,6 +304,44 @@ def random_inputs(rng):
     return states, forest, eta
 
 
+def caterpillar(n):
+    """A spine of about n/2 nodes, each with one leaf hanging off it."""
+    spine = [f"c{i}" for i in range(n // 2)]
+    parent = {spine[i]: spine[i - 1] for i in range(1, len(spine))}
+    parent.update({f"l{i}": c for i, c in enumerate(spine)})
+    return ContingencyForest(spine + [f"l{i}" for i in range(len(spine))], parent)
+
+
+def binary_tree(n):
+    """Node i has children 2i + 1 and 2i + 2 while they are below n."""
+    nodes = [f"b{i}" for i in range(n)]
+    return ContingencyForest(nodes, {nodes[i]: nodes[(i - 1) // 2] for i in range(1, n)})
+
+
+class TestDeterministicContinuationOnLargeForests:
+    def test_matches_reference(self):
+        rng = random.Random(44)
+        continuing = 0
+        for i in range(60):
+            forest = (caterpillar, binary_tree)[i % 2](rng.randint(40, 160))
+            # One state per leaf, so every S(h) is nonempty; in half of the
+            # forests a state takes one or two more leaves now and then.
+            rate = 0.05 if i % 4 >= 2 else 0
+            eta = {}
+            for j, leaf in enumerate(forest.leaves):
+                taken = {leaf}
+                if rng.random() < rate:
+                    taken.update(rng.sample(forest.leaves, rng.randint(1, 2)))
+                eta[f"s{j}"] = weights(rng, sorted(taken), full_support=True)
+            states = list(eta)
+            env = build_environment(states, forest, eta)
+            _, _, sh, ls = reference_dense_tables(states, forest, eta)
+            expected = reference_has_deterministic_continuation(forest, sh, ls)
+            assert has_deterministic_continuation(env) == expected
+            continuing += expected
+        assert 10 < continuing < 50, continuing
+
+
 class TestSparseTablesMatchDenseReference:
     def test_tables_and_continuation(self):
         rng = random.Random(31)
