@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, InternalError,
                      PreconditionViolation)
-from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _exact_sum, _require_rational
+from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
 
 _ZERO_TAG = "zero"
 _FINITE_TAG = "finite"
@@ -86,13 +87,22 @@ class OddsLink(NamedTuple):
 OddsChain = Sequence[OddsLink]
 
 
+Weight = tuple[int, int]  # w(s|h) as an unreduced pair (n, d), n >= 0, d > 0
+
+
 @dataclass
 class CoherenceGraph:
     """The weight row w(s|h) = mu(s|h)/p(h|s) over S(h), in state order, of
-    every contingency h: each discounted odds ratio at h is w(s|h)/w(s'|h)."""
+    every contingency h, as integer pairs: each discounted odds ratio at h is
+    w(s|h)/w(s'|h)."""
 
     states: tuple[str, ...]
-    weights: dict[str, dict[str, Fraction]]
+    rows: dict[str, dict[str, Weight]]
+
+    @cached_property
+    def weights(self) -> dict[str, dict[str, Fraction]]:
+        """The weight rows as Fractions, built only when asked for."""
+        return {h: {s: Fraction(*w) for s, w in row.items()} for h, row in self.rows.items()}
 
     @cached_property
     def edges(self) -> list[OddsLink]:
@@ -100,10 +110,10 @@ class CoherenceGraph:
         (h, src, dst) order; indeterminate (0/0) pairs are omitted."""
         return [
             OddsLink(h, s, sp, _ratio(a, b))
-            for h, row in self.weights.items()
+            for h, row in self.rows.items()
             for s, a in row.items()
             for sp, b in row.items()
-            if s != sp and (a or b)
+            if s != sp and (a[0] or b[0])
         ]
 
 
@@ -128,13 +138,25 @@ class CoherenceViolation:
     product: ExtendedRatio
 
 
-def _ratio(a: Fraction, b: Fraction) -> ExtendedRatio:
+def _weight(mass: Fraction, p: Fraction) -> Weight:
+    """w = mass/p as an unreduced integer pair; p > 0."""
+    return mass.numerator * p.denominator, mass.denominator * p.numerator
+
+
+def _ratio(a: Weight, b: Weight) -> ExtendedRatio:
     """a/b over the extended ratios; a and b are not both zero."""
-    if a == 0:
+    if not a[0]:
         return ExtendedRatio.zero()
-    if b == 0:
+    if not b[0]:
         return ExtendedRatio.infinite()
-    return ExtendedRatio.finite(a / b)
+    return ExtendedRatio.finite(Fraction(a[0] * b[1], a[1] * b[0]))
+
+
+def _require_mass(mass: object, h: str, s: str) -> None:
+    """Raise DomainError unless mu(s|h) is a non-negative rational."""
+    _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
+    if mass.numerator < 0:
+        raise DomainError(f"mu[{h!r}]: negative mass at {s!r}")
 
 
 def discounted_odds_ratio(
@@ -152,10 +174,10 @@ def discounted_odds_ratio(
     a = mu[h].get(s, ZERO)
     b = mu[h].get(sp, ZERO)
     for state, mass in ((s, a), (sp, b)):
-        _require_rational(mass, "mu[%r]: non-rational mass at %r", h, state)
+        _require_mass(mass, h, state)
     if a == 0 and b == 0:
         raise IndeterminateRatio(f"both beliefs zero at {h!r} for {s!r},{sp!r}")
-    return _ratio(a / reach[s], b / reach[sp])
+    return _ratio(_weight(a, reach[s]), _weight(b, reach[sp]))
 
 
 def generalized_odds_ratio(
@@ -180,14 +202,15 @@ def generalized_odds_ratio(
 
 
 def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> CoherenceGraph:
-    """The weight row of every contingency, at a cost of sum |S(h)|."""
-    weights = {}
+    """The weight row of every contingency, at a cost of sum |S(h)|; a
+    non-rational or negative mass raises DomainError."""
+    rows = {}
     for h in env.forest.nodes:
         row = mu[h]
         for s, mass in row.items():
-            _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
-        weights[h] = {s: row.get(s, ZERO) / p for s, p in env.reach[h].items()}
-    return CoherenceGraph(env.states, weights)
+            _require_mass(mass, h, s)
+        rows[h] = {s: _weight(row.get(s, ZERO), p) for s, p in env.reach[h].items()}
+    return CoherenceGraph(env.states, rows)
 
 
 def _condensation_walk(
@@ -253,9 +276,9 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     scan of all the edges in (src, dst, h) order would find, at a cost of
     sum |S(h)| plus sorting. Link values are computed only for the witness.
     """
-    weights, states = graph.weights, graph.states
+    rows, states = graph.rows, graph.states
     order = {s: i for i, s in enumerate(states)}
-    positive = {h: [s for s, w in row.items() if w] for h, row in weights.items()}
+    positive = {h: [s for s, w in row.items() if w[0]] for h, row in rows.items()}
     incident: dict[str, list[str]] = {s: [] for s in states}
     for h in sorted(positive):
         for s in positive[h]:
@@ -263,9 +286,10 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
 
     # Breadth-first over the finite edges. The first expansion of h reaches
     # all of positive[h], so h is never expanded again, and the tree edge
-    # into v is the least h (by id) it shares with u.
+    # into v is the least h (by id) it shares with u. Potentials are kept as
+    # gcd-reduced integer pairs (n, d), n, d > 0.
     component: dict[str, int] = {}
-    potential: dict[str, Fraction] = {}
+    potential: dict[str, tuple[int, int]] = {}
     up: dict[str, tuple[str, str]] = {}  # v -> (h, u) of the tree edge into v
     expanded: set[str] = set()
     comp = 0
@@ -273,7 +297,7 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
         if root in component:
             continue
         component[root] = comp
-        potential[root] = ONE
+        potential[root] = (1, 1)
         queue = [root]
         for u in queue:  # the queue grows while it is read
             found: dict[str, str] = {}
@@ -283,17 +307,22 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
                     for v in positive[h]:
                         if v not in component:
                             found.setdefault(v, h)
+            pn, pd = potential[u]
             for v in sorted(found, key=order.__getitem__):
                 h = found[v]
                 component[v] = comp
-                # pot(u)/pot(v) = o(u, v|h) for the tree edge.
-                potential[v] = potential[u] * weights[h][v] / weights[h][u]
+                # pot(u)/pot(v) = o(u, v|h) for the tree edge, so
+                # pot(v) = pot(u)*w(v|h)/w(u|h).
+                (vn, vd), (un, ud) = rows[h][v], rows[h][u]
+                n, d = pn * vn * ud, pd * vd * un
+                g = gcd(n, d)
+                potential[v] = (n // g, d // g)
                 up[v] = (h, u)
                 queue.append(v)
         comp += 1
 
     def link(h: str, s: str, t: str) -> OddsLink:
-        return OddsLink(h, s, t, _ratio(weights[h][s], weights[h][t]))
+        return OddsLink(h, s, t, _ratio(rows[h][s], rows[h][t]))
 
     def tree_path(frm: str, to: str) -> list[OddsLink]:
         """Links along the spanning tree from `frm` to `to` (same component)."""
@@ -318,14 +347,14 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     failing = []
     for h, pos in positive.items():
         if pos:
-            w, head = weights[h], pos[0]
-            ph, wh = potential[head], w[head]
-            cn, cd = ph.numerator * wh.denominator, ph.denominator * wh.numerator
-            s = next((s for s in pos
-                      if potential[s].numerator * w[s].denominator * cd
-                      != cn * potential[s].denominator * w[s].numerator), None)
-            if s is not None:
-                failing.append((order[head], order[s], h, head, s))
+            w, head = rows[h], pos[0]
+            (pn, pd), (wn, wd) = potential[head], w[head]
+            cn, cd = pn * wd, pd * wn
+            for s in pos:
+                (pn, pd), (wn, wd) = potential[s], w[s]
+                if pn * wd * cd != cn * pd * wn:
+                    failing.append((order[head], order[s], h, head, s))
+                    break
     if failing:
         *_, h, head, s = min(failing)
         return _make_violation([link(h, head, s)] + tree_path(s, head))
@@ -338,7 +367,7 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     zero_edges = sorted(
         (order[s], order[pos[0]], h, OddsLink(h, s, pos[0], zero))
         for h, pos in positive.items() if pos
-        for s, w in weights[h].items() if not w
+        for s, w in rows[h].items() if not w[0]
     )
     cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
     for *_, e in zero_edges:
@@ -360,11 +389,21 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     levels: list[list[str]] = [[] for _ in range(max(comp_levels.values(), default=1))]
     for s in states:
         levels[comp_levels[component[s]] - 1].append(s)
+    # Each level's potentials are summed in integers over the running lcm of
+    # their denominators, as `_exact_sum` does; one Fraction per state.
     potentials: dict[str, Fraction] = {}
     for members in levels:
-        total = _exact_sum(potential[s] for s in members)
+        tn, td = 0, 1
         for s in members:
-            potentials[s] = potential[s] / total
+            pn, pd = potential[s]
+            if td % pd:
+                m = lcm(td, pd)
+                tn *= m // td
+                td = m
+            tn += pn * (td // pd)
+        for s in members:
+            pn, pd = potential[s]
+            potentials[s] = Fraction(pn * td, pd * tn)
     return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)
 
 

@@ -1,6 +1,7 @@
 """Differentials of the integer kernels against the `Fraction` code they
-replaced: `_exact_sum`, `derive_beliefs`, `verify_ccbs`, the failing-edge
-test of `check_coherence` and `classify_deterministic`."""
+replaced: `_exact_sum`, `derive_beliefs`, `verify_ccbs`, the weight rows,
+potentials and failing-edge test of `check_coherence`, and
+`classify_deterministic`."""
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from dutchbook.errors import InvalidEnvironment
 from dutchbook.model import ONE, ZERO, _exact_sum, _require_rational
 from dutchbook.odds import CoherenceViolation
 
-from conftest import random_environment, random_lcps
+from conftest import random_environment, random_lcps, weights
 from test_odds import ReferenceAnalysis, coherence_instances, reference_edges
 
 F = Fraction
@@ -299,6 +300,58 @@ class TestCheckCoherenceMatchesReference:
                 first = got.cycle[0]
                 assert (first.h, first.src, first.dst) == edge
         assert finite >= 50, finite
+
+    def test_flat_book_sized_instances(self):
+        # Up to 100 states and 200 contingencies, where the seeded instances
+        # above have a handful of each, so one spanning tree holds up to 100
+        # integer potentials.
+        rng, seen = random.Random(0xF1A7), set()
+        for n in (25, 40, 60, 100):
+            env = flat_environment(rng, n)
+            for mu in flat_beliefs(rng, env):
+                got = check_coherence(build_coherence_graph(env, mu))
+                reference = ReferenceAnalysis(env.states, reference_edges(env, mu))
+                assert got == reference.outcome()
+                assert repr(got) == repr(reference.outcome())
+                seen.add(reference.kind)
+        assert {"certificate", "finite", "inside"} <= seen, seen
+
+
+def flat_environment(rng, n):
+    """|S| = n states under 2n root contingencies of 6 states each: n
+    circulant windows s_j..s_(j+5) and n random 6-subsets."""
+    states = [f"s{i}" for i in range(n)]
+    nodes = [f"h{j}" for j in range(2 * n)]
+    members = [[states[(j + k) % n] for k in range(6)] for j in range(n)]
+    members += [rng.sample(states, 6) for _ in range(n)]
+    leaves_of = {s: [] for s in states}
+    for h, ms in zip(nodes, members):
+        for s in ms:
+            leaves_of[s].append(h)
+    eta = {s: weights(rng, leaves_of[s], full_support=True) for s in states}
+    return build_environment(states, ContingencyForest(nodes, {}), eta)
+
+
+def flat_beliefs(rng, env):
+    """Bayes beliefs from a 2- or 3-level LCPS, then copies with one and with
+    two rows re-drawn, and a copy where one row drops one of its positive
+    masses and rescales the rest."""
+    order = list(env.states)
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, len(order)), rng.randint(1, 2)))
+    bounds = [0, *cuts, len(order)]
+    lcps = Lcps(tuple(weights(rng, order[a:b], max_denom=2 * (b - a), full_support=True)
+                      for a, b in zip(bounds, bounds[1:])))
+    mu = derive_beliefs(env, lcps)
+    yield mu
+    for k in (1, 2):
+        perturbed = dict(mu)
+        for h in rng.sample(env.forest.nodes, k):
+            perturbed[h] = weights(rng, env.consistent_states[h], full_support=rng.random() < 0.5)
+        yield perturbed
+    h = rng.choice([h for h in env.forest.nodes if sum(1 for m in mu[h].values() if m) >= 2])
+    s = rng.choice([s for s, m in mu[h].items() if m])
+    yield {**mu, h: {t: m / (1 - mu[h][s]) for t, m in mu[h].items() if t != s}}
 
 
 # --------------------------------------------------- deterministic classifier

@@ -117,6 +117,13 @@ class TestDiscountedOddsRatio:
         with pytest.raises(DomainError, match=r"^mu\['sm'\]: non-rational mass at 'sq'$"):
             generalized_odds_ratio(env, mu, [("sm", "sq", "ma"), ("sm", "ma", "sq")])
 
+    def test_negative_mass_rejected(self):
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        mu["sm"] = {"sq": F(-1, 2), "ma": F(3, 2)}
+        for s, sp in (("sq", "ma"), ("ma", "sq")):
+            with pytest.raises(DomainError, match=r"^mu\['sm'\]: negative mass at 'sq'$"):
+                discounted_odds_ratio(env, mu, "sm", s, sp)
+
 
 class TestGeneralizedOddsRatio:
     def test_two_link_chain(self):
@@ -167,6 +174,12 @@ class TestCoherenceGraph:
         mu["sm"] = {"sq": 0.5, "ma": 0.5}
         with pytest.raises(DomainError, match=r"mu\['sm'\]: non-rational mass at 'sq'"):
             build_coherence_graph(fx.larry_environment(), mu)
+
+    def test_negative_mass_rejected(self):
+        mu = fx.uniform_beliefs()
+        mu["sm"] = {"sq": F(-1, 2), "ma": F(3, 2)}
+        with pytest.raises(DomainError, match=r"^mu\['sm'\]: negative mass at 'sq'$"):
+            check_coherence(build_coherence_graph(fx.larry_environment(), mu))
 
 
 class TestCheckCoherence:
@@ -560,7 +573,17 @@ class TestWeightRowsMatchEdgeList:
         check_coherence(graph)
         plausibility_levels(graph)
         assert "edges" not in vars(graph)
+        assert "weights" not in vars(graph)
         assert graph.edges is graph.edges
+
+    def test_weights_view_is_the_fraction_rows(self):
+        for env, mu in coherence_instances(0x3E1, 300):
+            view = build_coherence_graph(env, mu).weights
+            assert list(view) == list(env.forest.nodes)
+            for h, row in view.items():
+                assert list(row) == [s for s in env.states if s in env.reach[h]]
+                assert row == {s: mu[h].get(s, 0) / env.reach[h][s] for s in row}
+                assert all(type(w) is Fraction for w in row.values())
 
     def test_link_values_are_computed_only_on_witnesses(self, monkeypatch):
         calls = []
