@@ -88,7 +88,10 @@ def _build_parser() -> _Parser:
 
     cmd("validate", _validate, "validate an environment and optional beliefs or LCPS",
         "--env", __beliefs={"required": False}, __lcps={"required": False})
-    cmd("check-forward", _check_forward, "forward-consistency check", "--env", "--beliefs")
+    cmd("check-forward", lambda args: _verdict(
+            "consistent", check_forward_consistency(*_load_pair(args)),
+            serialize.forward_violation_to_doc),
+        "forward-consistency check", "--env", "--beliefs")
     cmd("check-complete", _check_complete, "complete-consistency check", "--env", "--beliefs")
     cmd("extract-lcps", lambda args: _check_complete(args, certificate=False),
         "extract the rationalizing LCPS", "--env", "--beliefs")
@@ -96,7 +99,9 @@ def _build_parser() -> _Parser:
     cmd("to-cps", _to_cps, "expand an LCPS to a complete CPS", "--lcps",
         __env={"required": False, "help": "fixes the state order"})
     cmd("to-lcps", _to_lcps, "collapse a complete CPS to an LCPS", "--cps")
-    cmd("check-siniscalchi", _check_siniscalchi,
+    cmd("check-siniscalchi", lambda args: _verdict(
+            "ok", check_siniscalchi(*_load_pair(args), args.max_len),
+            serialize.siniscalchi_violation_to_doc),
         "generalized chain-rule check (uniform reach only)",
         "--env", "--beliefs", __max_len={"type": int, "default": None})
     cmd("verify-book", lambda args: _verify(args, classify_dutch_book, _book_verdict),
@@ -137,6 +142,17 @@ def _load_beliefs(path: str):
     return serialize.beliefs_from_doc(serialize.load_file(path))
 
 
+def _load_pair(args):
+    return _load_env(args.env), _load_beliefs(args.beliefs)
+
+
+def _verdict(key: str, violation, to_doc) -> tuple[int, dict]:
+    """{key: true} without a violation, else {key: false} and its document."""
+    if violation is None:
+        return EXIT_OK, {key: True}
+    return EXIT_NEGATIVE, {key: False, "violation": to_doc(violation)}
+
+
 def _validate(args) -> tuple[int, dict]:
     env = _load_env(args.env)
     payload = {
@@ -160,26 +176,12 @@ def _validate(args) -> tuple[int, dict]:
     return (EXIT_OK if payload["ok"] else EXIT_NEGATIVE), payload
 
 
-def _check_forward(args) -> tuple[int, dict]:
-    env = _load_env(args.env)
-    violation = check_forward_consistency(env, _load_beliefs(args.beliefs))
-    if violation is None:
-        return EXIT_OK, {"consistent": True}
-    return EXIT_NEGATIVE, {
-        "consistent": False,
-        "violation": serialize.forward_violation_to_doc(violation),
-    }
-
-
 def _check_complete(args, certificate: bool = True) -> tuple[int, dict]:
     """check-complete, or extract-lcps (certificate=False: the bare LCPS)."""
-    env = _load_env(args.env)
-    result = check_complete_consistency(env, _load_beliefs(args.beliefs))
+    env, mu = _load_pair(args)
+    result = check_complete_consistency(env, mu)
     if not result.consistent:
-        return EXIT_NEGATIVE, {
-            "consistent": False,
-            "violation": serialize.violation_to_doc(result.violation),
-        }
+        return _verdict("consistent", result.violation, serialize.violation_to_doc)
     lcps = serialize.lcps_to_doc(result.lcps, env.states)
     if not certificate:
         return EXIT_OK, lcps
@@ -212,17 +214,6 @@ def _to_lcps(args) -> tuple[int, dict]:
     return EXIT_OK, serialize.lcps_to_doc(lcps, cps.states)
 
 
-def _check_siniscalchi(args) -> tuple[int, dict]:
-    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
-    violation = check_siniscalchi(env, mu, args.max_len)
-    if violation is None:
-        return EXIT_OK, {"ok": True}
-    return EXIT_NEGATIVE, {
-        "ok": False,
-        "violation": serialize.siniscalchi_violation_to_doc(violation),
-    }
-
-
 def _book_verdict(env, verdict) -> tuple[dict, bool]:
     return serialize.book_verdict_to_doc(verdict, env.states), verdict.is_dutch_book
 
@@ -245,7 +236,7 @@ def _verify(args, classify, judge) -> tuple[int, dict]:
 
 
 def _synth(args, synthesize, judge) -> tuple[int, dict]:
-    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
+    env, mu = _load_pair(args)
     try:
         g, acceptance, verdict = synthesize(env, mu)
     except UnsupportedEnvironment:
@@ -259,7 +250,7 @@ def _synth(args, synthesize, judge) -> tuple[int, dict]:
 
 
 def _simulate(args) -> tuple[int, dict]:
-    env, mu = _load_env(args.env), _load_beliefs(args.beliefs)
+    env, mu = _load_pair(args)
     g = serialize.gambles_from_doc(serialize.load_file(args.book))
     if args.state:
         mode = FixedState(args.state)

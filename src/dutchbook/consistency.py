@@ -256,11 +256,10 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
             (ok if s is None else bad).add(c)
     found: dict[str, list[str]] = {}  # h -> children c of the bad edges that ok edges join h to
     for c in bad:
-        h = forest.parent[c]
-        found.setdefault(h, []).append(c)
-        while h in ok:
-            h = forest.parent[h]
+        for h in forest.path(forest.parent[c]):
             found.setdefault(h, []).append(c)
+            if h not in ok:
+                break
 
     for h in sorted(found, key=forest.index.__getitem__):
         pairs: list[tuple[int, str]] = []  # each such c and every node below it

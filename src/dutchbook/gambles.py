@@ -133,7 +133,7 @@ def classify_deterministic(env: LearningEnvironment, g: GambleSystem) -> Determi
         per_path[s] = {}
         paid = pays[s]
         for leaf in env.eta[s]:
-            total = _exact_sum(paid[h] for h in env.forest.chain[leaf] if h in paid)
+            total = _exact_sum(paid[h] for h in env.forest.path(leaf) if h in paid)
             per_path[s][leaf] = total
             flat.append(total)
     verdict = all(v <= 0 for v in flat) and any(v < 0 for v in flat)

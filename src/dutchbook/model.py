@@ -6,9 +6,10 @@ a verdict path ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InvalidEnvironment
 
@@ -99,29 +100,35 @@ class ContingencyForest:
         self.roots: tuple[str, ...] = tuple(h for h in self.nodes if h not in self.parent)
         self.leaves: tuple[str, ...] = tuple(h for h in self.nodes if not children[h])
 
-        # Root-to-node chains in one walk down from the roots. Each node has
-        # one parent, so a node the walk misses lies below a parent cycle;
-        # the first such node is walked up to its first repeated ancestor.
-        chains: dict[str, tuple[str, ...]] = {}
-        stack = [(r,) for r in self.roots]
-        while stack:
-            chain = stack.pop()
-            chains[chain[-1]] = chain
-            stack.extend(chain + (c,) for c in self.children[chain[-1]])
-        for h in self.nodes:
-            if h not in chains:
-                seen, cur = {h}, self.parent[h]
-                while cur not in seen:
-                    seen.add(cur)
-                    cur = self.parent[cur]
-                raise InvalidEnvironment(f"cycle in forest through {cur!r}")
-        self.chain: dict[str, tuple[str, ...]] = chains
+        # One walk down from the roots. A node it misses lies below a parent
+        # cycle; the first such node is walked up to its first repeated ancestor.
+        reached = list(self.roots)
+        for h in reached:  # the list grows while it is read
+            reached.extend(self.children[h])
+        if len(reached) < len(self.nodes):
+            missed = set(self.nodes).difference(reached)
+            seen, cur = set(), next(h for h in self.nodes if h in missed)
+            while cur not in seen:
+                seen.add(cur)
+                cur = self.parent[cur]
+            raise InvalidEnvironment(f"cycle in forest through {cur!r}")
+
+    def path(self, h: str) -> Iterator[str]:
+        """h, its parent, and so on up to its root."""
+        while h is not None:
+            yield h
+            h = self.parent.get(h)
+
+    @cached_property
+    def chain(self) -> dict[str, tuple[str, ...]]:
+        """The root-to-node chain of every node, built only when read."""
+        return {h: tuple(self.path(h))[::-1] for h in self.nodes}
 
     def comparable_pairs(self) -> Iterable[tuple[str, str]]:
         """All (h, h') with h a proper ancestor of h', in canonical order."""
         below: dict[str, list[str]] = {h: [] for h in self.nodes}
         for hp in self.nodes:  # node order, so each list is in node order
-            for h in self.chain[hp][:-1]:
+            for h in tuple(self.path(hp))[1:]:
                 below[h].append(hp)
         for h in self.nodes:
             for hp in below[h]:
@@ -198,7 +205,7 @@ def build_environment(
         check_distribution(row, f"eta[{s!r}]")
         eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l].numerator}
         for leaf, mass in eta_table[s].items():
-            for h in forest.chain[leaf]:
+            for h in forest.path(leaf):
                 row_h = reach[h]
                 row_h[s] = row_h[s] + mass if s in row_h else mass
 

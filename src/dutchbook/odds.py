@@ -12,47 +12,44 @@ from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, Inte
                      PreconditionViolation)
 from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
 
-_ZERO_TAG = "zero"
-_FINITE_TAG = "finite"
-_INF_TAG = "infinite"
-
 
 @dataclass(frozen=True)
 class ExtendedRatio:
-    """A strictly positive rational, zero, or infinity."""
+    """A strictly positive rational, zero, or infinity: `value` is the
+    positive Fraction, 0, or None for infinity."""
 
-    tag: str
-    value: Fraction | None = None
+    value: Fraction | None
 
     @staticmethod
     def zero() -> "ExtendedRatio":
-        return ExtendedRatio(_ZERO_TAG)
+        return ExtendedRatio(ZERO)
 
     @staticmethod
     def infinite() -> "ExtendedRatio":
-        return ExtendedRatio(_INF_TAG)
+        return ExtendedRatio(None)
 
     @staticmethod
     def finite(v: Fraction) -> "ExtendedRatio":
+        _require_rational(v, "finite ratio must be rational, got %r", v)
         if v <= 0:
             raise ValueError(f"finite ratio must be positive, got {v}")
-        return ExtendedRatio(_FINITE_TAG, Fraction(v))
+        return ExtendedRatio(Fraction(v))
 
     @property
     def is_zero(self) -> bool:
-        return self.tag == _ZERO_TAG
+        return self.value == 0
 
     @property
     def is_finite(self) -> bool:
-        return self.tag == _FINITE_TAG
+        return bool(self.value)  # neither None nor 0
 
     @property
     def is_infinite(self) -> bool:
-        return self.tag == _INF_TAG
+        return self.value is None
 
     @property
     def is_one(self) -> bool:
-        return self.tag == _FINITE_TAG and self.value == 1
+        return self.value == 1
 
     def inverse(self) -> "ExtendedRatio":
         if self.is_zero:
@@ -389,20 +386,14 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     levels: list[list[str]] = [[] for _ in range(max(comp_levels.values(), default=1))]
     for s in states:
         levels[comp_levels[component[s]] - 1].append(s)
-    # Each level's potentials are summed in integers over the running lcm of
-    # their denominators, as `_exact_sum` does; one Fraction per state.
+    # Each level's potentials are totalled in integers over the lcm of their
+    # denominators, as `consistency._bayes_rows` does; one Fraction per state.
     potentials: dict[str, Fraction] = {}
     for members in levels:
-        tn, td = 0, 1
-        for s in members:
-            pn, pd = potential[s]
-            if td % pd:
-                m = lcm(td, pd)
-                tn *= m // td
-                td = m
-            tn += pn * (td // pd)
-        for s in members:
-            pn, pd = potential[s]
+        pots = [potential[s] for s in members]
+        td = lcm(*(pd for _, pd in pots))
+        tn = sum(pn * (td // pd) for pn, pd in pots)
+        for s, (pn, pd) in zip(members, pots):
             potentials[s] = Fraction(pn * td, pd * tn)
     return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)
 

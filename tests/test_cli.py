@@ -542,18 +542,28 @@ class TestParserReuse:
         assert [code for code, _, _ in fresh] == [2, 2, 2, 1, 0, 0]
         assert fresh[-1][2] == fresh[-1][1]
 
-    def test_library_functions_are_looked_up_per_call(self, capsys, monkeypatch):
-        argv = ["verify-book", "--env", str(DATA / "larry.json"),
-                "--book", str(DATA / "larry-book.json")]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("name, argv, code", [
+        ("classify_dutch_book", ["verify-book", "--env", "larry.json",
+                                 "--book", "larry-book.json"], 0),
+        ("check_forward_consistency", ["check-forward", "--env", "nested.json",
+                                       "--beliefs", "drift.json"], 1),
+        ("check_siniscalchi", ["check-siniscalchi", "--env", "larry.json",
+                               "--beliefs", "regret.json"], 1),
+        ("check_complete_consistency", ["check-complete", "--env", "larry.json",
+                                        "--beliefs", "regret.json"], 1),
+    ], ids=["verify-book", "check-forward", "check-siniscalchi", "check-complete"])
+    def test_library_functions_are_looked_up_per_call(self, capsys, monkeypatch, name, argv, code):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == code
         capsys.readouterr()
         calls = []
+        original = getattr(cli, name)
 
-        def counting(env, g):
-            calls.append(g)
-            return gambles.classify_dutch_book(env, g)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(cli, "classify_dutch_book", counting)
-        assert main(argv) == 0
+        monkeypatch.setattr(cli, name, counting)
+        assert main(argv) == code
         capsys.readouterr()
         assert len(calls) == 1

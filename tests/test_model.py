@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from dutchbook import (
     validate_belief_system,
 )
 from dutchbook.errors import DomainError, InvalidEnvironment
+from dutchbook.gambles import classify_deterministic
 from dutchbook import fixtures as fx
 
 from conftest import random_forest, weights
@@ -116,6 +118,24 @@ class TestChainsMatchPerNodeWalk:
         forest = ContingencyForest(nodes, {nodes[i]: nodes[i - 1] for i in range(1, n)})
         assert time.perf_counter() - started < 1.0
         assert forest.chain[nodes[-1]] == tuple(nodes)
+
+    def test_deep_forest_costs_linear_memory(self):
+        # A table of root-to-node chains would hold n(n+1)/2 slots, about
+        # 66 MB here; walking parents holds none.
+        n = 4000
+        nodes = [f"h{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            forest = ContingencyForest(nodes, {nodes[i]: nodes[i - 1] for i in range(1, n)})
+            env = build_environment(["s"], forest, {"s": {nodes[-1]: F(1)}})
+            book = {nodes[0]: {"s": F(-1)}, nodes[-1]: {"s": F(1, 3)}}
+            verdict = classify_deterministic(env, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
+        assert verdict.per_path == {"s": {nodes[-1]: F(-2, 3)}}
+        assert "chain" not in vars(forest)
 
 
 class TestEnvironment:

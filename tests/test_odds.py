@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -48,6 +49,17 @@ class TestExtendedRatio:
             ExtendedRatio.finite(F(0))
         with pytest.raises(ValueError):
             ExtendedRatio.finite(F(-1))
+
+    def test_finite_must_be_rational(self):
+        with pytest.raises(DomainError, match="finite ratio must be rational"):
+            ExtendedRatio.finite(0.1)
+        assert ExtendedRatio.finite(2).value == 2
+
+    def test_value_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(ExtendedRatio)] == ["value"]
+        assert ExtendedRatio.zero().value == 0
+        assert ExtendedRatio.infinite().value is None
+        assert ExtendedRatio.finite(F(2, 3)) == ExtendedRatio(F(2, 3))
 
     def test_inverse(self):
         assert ExtendedRatio.finite(F(3)).inverse().value == F(1, 3)

@@ -1,14 +1,25 @@
 """The package's public surface: every name in `dutchbook.__all__` resolves,
-and every Python example in README.md runs."""
+every Python example in README.md runs, and every `dutchbook` command of
+its shell examples exits with the code it states."""
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import dutchbook
+from dutchbook.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+DATA = README.parent / "tests" / "data"
+TEXT = README.read_text()
+EXAMPLES = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+COMMANDS = [
+    line
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("dutchbook ")
+]
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +40,16 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("source", EXAMPLES, ids=[f"block{i}" for i in range(len(EXAMPLES))])
 def test_readme_example_runs(source):
     exec(compile(source, str(README), "exec"), {})
+
+
+def test_readme_has_cli_examples():
+    assert len(COMMANDS) == 5
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[line.split()[1] for line in COMMANDS])
+def test_readme_cli_example_exits_as_stated(line, capsys):
+    command, stated = line.split("#")
+    code = int(re.match(r"\s*exit (\d)", stated).group(1))
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in command.split()[1:]]
+    assert main(argv) == code
+    json.loads(capsys.readouterr().out)
