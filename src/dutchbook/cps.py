@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import InputError, NonUniformReach
 from .model import (
@@ -21,7 +22,8 @@ from .model import (
 from .consistency import Lcps, require_valid_beliefs, validate_lcps
 
 # 2^16 - 1 conditioning events: validating the CPS of a two-level LCPS over
-# 16 states took 15.6 s (CPython 3.11.7, one core of a 2-core x86-64 machine).
+# 16 states takes 0.7-0.8 s and building it with `lcps_to_cps` about 2 s
+# (CPython 3.11.7, one core of a 2-core x86-64 machine).
 MAX_CPS_STATES = 16
 
 
@@ -52,12 +54,26 @@ class CpsViolation:
 
 
 def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
-    """Check every row, then the chain rule on two-state events only.
+    """Check every row, then the chain rule through the CPS's own LCPS.
 
     Returns the first violation of the full scan (every C in canonical order,
     every D strictly inside C in size-major order, every e in D in state
-    order, mu(e|C) = mu(e|D) * mu(D|C)), or None. Why pairs suffice, once
-    the first loop has made every row a distribution on its event:
+    order, mu(e|C) = mu(e|D) * mu(D|C)), or None. Once the row pass of
+    `_check` has made every row a distribution on its event, `_levels`
+    walks the never-yet-explained events X_0 = S, X_1, ... and takes each
+    level l_k, the positive part of mu(.|X_k); every state is positive at
+    exactly one level. For C, let k be the first level with l_k(C) > 0.
+    Then the CPS satisfies the chain rule iff mu(e|C) * l_k(C) = l_k(e) for
+    every e in C:
+    - "If": each row is then the conditioning at C of the LCPS (l_0, l_1,
+      ...). Take D inside C with levels k <= j and e in D. If l_k(D) > 0,
+      then j = k and mu(e|D) * mu(D|C) = l_k(e)/l_k(D) * l_k(D)/l_k(C)
+      = mu(e|C). Otherwise l_k(e) = 0, so mu(e|C) = 0 = mu(D|C).
+    - "Only if": C misses the supports of l_0, ..., l_(k-1), so C lies in
+      X_k, and the chain rule at (X_k, C) reads l_k(e) = mu(e|C) * l_k(C).
+    This check costs sum_C |C| = n * 2^(n-1) integer cross products, so a
+    valid CPS returns None from it alone. On a failure the pair scan of
+    `_check` finds the first violation. Why pairs suffice:
     - |D| = 1 never fails, as mu(.|{e}) = {e: 1}.
     - For D = {e, f}, the e condition is mu(e|C) * mu(f|D) = mu(f|C) * mu(e|D)
       (use mu(e|D) + mu(f|D) = 1), which is also the f condition.
@@ -71,20 +87,32 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
       singletons) before any larger D.
     So n^2 * 2^n cross products replace the n * 3^n nested checks.
     """
+    return _check(cps)[0]
+
+
+def _check(cps: CompleteCps) -> tuple[CpsViolation | None, list[Distribution]]:
+    """The first violation, or None and the levels of the CPS's LCPS."""
+    known = set(cps.states)
     for c in cps.subsets():
         if c not in cps.conditionals:
             raise InputError(f"missing subset entry {sorted(c)}")
         row = cps.conditionals[c]
         for s, m in row.items():
-            _require_rational(m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError)
-        if any(m < 0 for m in row.values()):
-            return CpsViolation(c, None, None, min(row.values()), ZERO)
-        if any(s not in cps.states for s in row):
+            if type(m) is not Fraction:
+                _require_rational(
+                    m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError
+                )
+        if any(m.numerator < 0 for m in row.values()):
+            return CpsViolation(c, None, None, min(row.values()), ZERO), []
+        if not known.issuperset(row):
             raise InputError(f"row {sorted(c)} has unknown states")
-        total = _exact_sum(row.values())
-        on_c = mass_of(row, c)
-        if total != ONE or on_c != ONE:
-            return CpsViolation(c, None, None, on_c, ONE)
+        # A row on C sums to its mass on C, so only a row reaching outside C
+        # is summed twice.
+        if _exact_sum(row.values()) != ONE or (not c.issuperset(row) and mass_of(row, c) != ONE):
+            return CpsViolation(c, None, None, mass_of(row, c), ONE), []
+    levels = _levels(cps)
+    if _represents(cps, levels):
+        return None, levels
     order = {s: i for i, s in enumerate(cps.states)}
     for c in cps.subsets():
         row_c = cps.conditionals[c]
@@ -93,8 +121,49 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
             d = frozenset((e, f))
             me, mf, row_d = row_c.get(e, ZERO), row_c.get(f, ZERO), cps.conditionals[d]
             if me * row_d.get(f, ZERO) != mf * row_d.get(e, ZERO):
-                return CpsViolation(c, d, e, me, row_d.get(e, ZERO) * mass_of(row_c, d))
-    return None
+                return CpsViolation(c, d, e, me, row_d.get(e, ZERO) * mass_of(row_c, d)), []
+    return None, levels
+
+
+def _levels(cps: CompleteCps) -> list[Distribution]:
+    """Walk the decreasing chain of never-yet-explained events X_0 = S,
+    X_1, ...; level k is the positive part of mu(.|X_k). Every row being a
+    distribution on its event, each level explains at least one state."""
+    levels: list[Distribution] = []
+    current = frozenset(cps.states)
+    explained: set[str] = set()
+    while current:
+        level = {s: m for s, m in cps.conditionals[current].items() if m > 0}
+        levels.append(level)
+        explained |= level.keys()
+        current = frozenset(s for s in cps.states if s not in explained)
+    return levels
+
+
+def _represents(cps: CompleteCps, levels: list[Distribution]) -> bool:
+    """True iff every row is the conditioning of the levels' LCPS:
+    mu(e|C) * l_k(C) = l_k(e) for every C and e in C, with k the first level
+    with l_k(C) > 0. Each level is kept as integer numerators over its lcm.
+    Only the e of C at level k are tested: when they pass, their masses sum
+    to l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
+    row is a distribution on C."""
+    first: dict[str, int] = {}
+    numer: dict[str, int] = {}
+    for k, level in enumerate(levels):
+        d = lcm(*(m.denominator for m in level.values()))
+        for s, m in level.items():
+            first[s] = k
+            numer[s] = m.numerator * (d // m.denominator)
+    for c in cps.subsets():
+        k = min(first[s] for s in c)
+        at_k = {s: numer[s] for s in c if first[s] == k}
+        total = sum(at_k.values())
+        row = cps.conditionals[c]
+        for e, n in at_k.items():
+            m = row.get(e, ZERO)
+            if m.numerator * total != m.denominator * n:
+                return False
+    return True
 
 
 def lcps_to_cps(lcps: Lcps, states: tuple[str, ...]) -> CompleteCps:
@@ -111,18 +180,10 @@ def lcps_to_cps(lcps: Lcps, states: tuple[str, ...]) -> CompleteCps:
 
 
 def cps_to_lcps(cps: CompleteCps) -> Lcps:
-    """Walk the decreasing chain of never-yet-explained events."""
-    violation = validate_complete_cps(cps)
+    """The levels `validate_complete_cps` found, once it found no violation."""
+    violation, levels = _check(cps)
     if violation is not None:
         raise InputError(f"invalid complete CPS: {violation}")
-    levels: list[Distribution] = []
-    current = frozenset(cps.states)
-    explained: set[str] = set()
-    while current:
-        row = cps.conditionals[current]
-        levels.append({s: m for s, m in row.items() if m > 0})
-        explained |= {s for s, m in row.items() if m > 0}
-        current = frozenset(s for s in cps.states if s not in explained)
     lcps = Lcps(tuple(levels))
     validate_lcps(lcps, cps.states)
     return lcps
@@ -151,7 +212,11 @@ def check_siniscalchi(
       only simple paths of the support-overlap graph are walked. Extending
       paths one length at a time, neighbours in node order, visits them in
       the order `permutations` lists those sequences.
+    - A path whose two overlap products are both 0 gives 0 = 0, and so does
+      every extension of it, so the walk does not extend it.
     - Any other E is a sum of singletons, whose equations already hold.
+    When every overlap mass is positive, `_potentials_hold` may first show
+    that no sequence fails, and then the walk is skipped.
     """
     require_valid_beliefs(env, mu)
     if not is_uniform_reach(env):
@@ -162,22 +227,104 @@ def check_siniscalchi(
     elif max_len < 2:
         raise InputError("max_len must be at least 2")
     supports = {h: frozenset(env.consistent_states[h]) for h in contingencies}
-    # a -> [(b, mu(O|b), mu(O|a))] for O = S(a) & S(b) nonempty, b in node order
-    links = {a: [(b, mass_of(mu[b], o), mass_of(mu[a], o)) for b in contingencies
-                 if b != a and (o := supports[a] & supports[b])] for a in contingencies}
+    # a -> [(b, mu(O|b), mu(O|a))] for O = S(a) & S(b) nonempty, b in node order,
+    # each mass as its numerator and denominator
+    links = {a: [(b, *_mass(mu[b], o), *_mass(mu[a], o))
+                 for b in contingencies if b != a and (o := supports[a] & supports[b])]
+             for a in contingencies}
+    # Each overlap is listed from both sides, so this reads every overlap mass.
+    positive = all(to_b for out in links.values() for _, to_b, _, _, _ in out)
+    if positive and _potentials_hold(env, mu, links):
+        return None
+    ends: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+    back = {a: out[::-1] for a, out in links.items()}
     for n in range(2, min(max_len, len(contingencies)) + 1):
         for first in contingencies:
-            stack = [((first,), ONE, ONE)]
+            # (sequence, left product, right product) as integer pairs
+            stack = [((first,), 1, 1, 1, 1)]
             while stack:
-                seq, left_prod, right_prod = stack.pop()
+                seq, ln, ld, rn, rd = stack.pop()
                 if len(seq) < n:
-                    stack.extend((seq + (b,), left_prod * to_b, right_prod * from_a)
-                                 for b, to_b, from_a in reversed(links[seq[-1]]) if b not in seq)
+                    for b, tn, td, fn, fd in back[seq[-1]]:
+                        # Both products 0: 0 = 0 here and on every extension.
+                        if b not in seq and (ln * tn or rn * fn):
+                            stack.append((seq + (b,), ln * tn, ld * td, rn * fn, rd * fd))
                     continue
                 last = seq[-1]
-                for s in sorted(supports[first] & supports[last], key=env.state_index.get):
-                    lhs = mu[first].get(s, ZERO) * left_prod
-                    rhs = mu[last].get(s, ZERO) * right_prod
-                    if lhs != rhs:
-                        return SiniscalchiViolation(seq, (s,), lhs, rhs)
+                if (first, last) not in ends:
+                    ends[first, last] = _end_states(
+                        env, mu[first], mu[last], supports[first] & supports[last]
+                    )
+                left, right = ln * rd, rn * ld
+                for s, x, y in ends[first, last]:
+                    if x * left != y * right:
+                        return SiniscalchiViolation(
+                            seq, (s,),
+                            mu[first].get(s, ZERO) * Fraction(ln, ld),
+                            mu[last].get(s, ZERO) * Fraction(rn, rd),
+                        )
     return None
+
+
+def _mass(row: Distribution, keys: frozenset[str]) -> tuple[int, int]:
+    m = mass_of(row, keys)
+    return m.numerator, m.denominator
+
+
+def _end_states(env, row_first, row_last, ends) -> list[tuple[str, int, int]]:
+    """(s, a*d, c*b) for each end state s in state order, where
+    mu(s|first) = a/b and mu(s|last) = c/d."""
+    out = []
+    for s in sorted(ends, key=env.state_index.get):
+        p, q = row_first.get(s, ZERO), row_last.get(s, ZERO)
+        out.append((s, p.numerator * q.denominator, q.numerator * p.denominator))
+    return out
+
+
+def _potentials_hold(
+    env: LearningEnvironment, mu: BeliefSystem, links: dict[str, list[tuple]]
+) -> bool:
+    """True only if no sequence breaks the chain rule, given links whose
+    overlap masses are all positive.
+
+    Potentials phi > 0 are spread breadth first along a spanning tree of
+    each component, phi(b) = phi(a) * mu(O|b) / mu(O|a) on a tree link
+    a -> b with overlap O, as gcd-reduced integer pairs phi = p/q. Suppose
+    mu(s|h) = c(s) * phi(h) for every h and s in S(h), with one c(s) per
+    state (the h with s in S(h) are pairwise linked, by s). Then a link's
+    overlap masses are mu(O|a) = C * phi(a) and mu(O|b) = C * phi(b), with
+    C the sum of c over O, so rho(a->b) = mu(O|a)/mu(O|b) = phi(a)/phi(b) on
+    every link, tree or not. On a sequence (h^1, ..., h^n) both sides of the
+    condition at s then equal c(s) * prod_m C_m * prod_i phi(h^i): the
+    products telescope, and no sequence fails. This "if" direction is all a
+    None verdict needs. Conversely, when every simple path holds, summing
+    the tree path from c to d over the overlap of a non-tree link c - d
+    gives rho(c->d) = phi(c)/phi(d), and tree paths then give one c(s); so
+    with positive masses this check decides the rule.
+    """
+    phi: dict[str, tuple[int, int]] = {}
+    for root in env.forest.nodes:
+        if root in phi:
+            continue
+        phi[root] = 1, 1
+        queue = [root]
+        for a in queue:  # the list grows while it is read
+            p, q = phi[a]
+            for b, tn, td, fn, fd in links[a]:
+                if b not in phi:
+                    n, d = p * tn * fd, q * td * fn
+                    g = gcd(n, d)
+                    phi[b] = n // g, d // g
+                    queue.append(b)
+    scaled: dict[str, tuple[int, int]] = {}  # s -> c(s) = mu(s|h)/phi(h)
+    for h, states in env.consistent_states.items():
+        p, q = phi[h]
+        row = mu[h]
+        for s in states:
+            m = row.get(s, ZERO)
+            n, d = m.numerator * q, m.denominator * p
+            if s not in scaled:
+                scaled[s] = n, d
+            elif n * scaled[s][1] != scaled[s][0] * d:
+                return False
+    return True

@@ -121,8 +121,15 @@ class ContingencyForest:
 
     @cached_property
     def chain(self) -> dict[str, tuple[str, ...]]:
-        """The root-to-node chain of every node, built only when read."""
-        return {h: tuple(self.path(h))[::-1] for h in self.nodes}
+        """The root-to-node chain of every node, in node order, built only
+        when read: one walk down from the roots, each chain its parent's
+        chain plus the node."""
+        table: dict[str, tuple[str, ...]] = {}
+        walk = list(self.roots)
+        for h in walk:  # the list grows while it is read
+            table[h] = table[self.parent[h]] + (h,) if h in self.parent else (h,)
+            walk.extend(self.children[h])
+        return {h: table[h] for h in self.nodes}
 
     def comparable_pairs(self) -> Iterable[tuple[str, str]]:
         """All (h, h') with h a proper ancestor of h', in canonical order."""
@@ -182,7 +189,8 @@ def build_environment(
     missing = [s for s in state_tuple if s not in eta]
     if missing:
         raise InvalidEnvironment(f"eta missing rows for states {missing}")
-    unknown = [s for s in eta if s not in state_tuple]
+    state_set = set(state_tuple)
+    unknown = [s for s in eta if s not in state_set]
     if unknown:
         raise InvalidEnvironment(f"eta rows for unknown states {unknown}")
 

@@ -22,6 +22,7 @@ from dutchbook import (
 )
 from dutchbook.errors import InputError, NonUniformReach
 from dutchbook.model import ONE, ZERO, mass_of
+from dutchbook import cps as cps_module
 from dutchbook import fixtures as fx
 
 from conftest import random_lcps, weights
@@ -72,6 +73,19 @@ class TestValidateCompleteCps:
             validate_complete_cps(cps)
         with pytest.raises(InputError, match="non-rational mass"):
             cps_to_lcps(cps)
+
+    def test_integer_masses_accepted(self):
+        # Any rational may be a mass; signs and sums read its numerator and
+        # denominator, which an int has too.
+        cps = CompleteCps(("a", "b"), {
+            frozenset("a"): {"a": 1},
+            frozenset("b"): {"b": 1},
+            frozenset("ab"): {"a": 1, "b": 0},
+        })
+        assert validate_complete_cps(cps) is None
+        assert cps_to_lcps(cps) == Lcps(({"a": 1}, {"b": 1}))
+        cps.conditionals[frozenset("ab")] = {"a": 2, "b": -1}
+        assert validate_complete_cps(cps) == CpsViolation(frozenset("ab"), None, None, -1, ZERO)
 
     def test_chain_rule_violation(self):
         cps = lcps_to_cps(Lcps(({"sq": F(1, 3), "ma": F(1, 3), "pa": F(1, 3)},)), STATES)
@@ -317,6 +331,57 @@ class TestMatchesFullScans:
         assert seen["multi-state ends"] >= 20, seen
 
 
+def larry_beliefs(rng, env):
+    """Beliefs on the Larry ring from a one- or two-level LCPS, with zero to
+    two of the pair rows sm, mp, ps redrawn."""
+    order = list(env.states)
+    rng.shuffle(order)
+    cut = rng.choice([len(order), rng.randint(1, len(order) - 1)])
+    parts = [part for part in (order[:cut], order[cut:]) if part]
+    mu = derive_beliefs(env, Lcps(tuple(weights(rng, p, full_support=True) for p in parts)))
+    for h in rng.sample(["sm", "mp", "ps"], rng.randint(0, 2)):
+        mu[h] = weights(rng, env.consistent_states[h], full_support=rng.random() < 0.5)
+    return mu
+
+
+def has_prunable_step(env, mu):
+    """True iff some contingency b gives no mass to its overlaps with two
+    others a and c: the path a, b, c then has both overlap products 0."""
+    supports = {h: set(env.consistent_states[h]) for h in env.forest.nodes}
+    nulls = {
+        b: {a for a in supports if a != b and (o := supports[a] & supports[b])
+            and mass_of(mu[b], o) == 0}
+        for b in supports
+    }
+    return any(len(hs) >= 2 for hs in nulls.values())
+
+
+class TestLarryRing:
+    def test_potentials_and_pruned_walk_match_full_scan(self, monkeypatch):
+        verdicts = []
+        potentials_hold = cps_module._potentials_hold
+
+        def spy(*args):
+            verdicts.append(potentials_hold(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(cps_module, "_potentials_hold", spy)
+        env, rng, seen = fx.larry_environment(), random.Random(0x1A7), Counter()
+        for _ in range(100):
+            mu = larry_beliefs(rng, env)
+            verdicts.clear()
+            outcome = check_siniscalchi(env, mu)
+            assert repr(outcome) == repr(reference_check_siniscalchi(env, mu))
+            if verdicts == [True]:
+                seen["potentials"] += 1
+            elif outcome is None:
+                seen["walked, pruned"] += has_prunable_step(env, mu)
+            else:
+                seen["violation"] += 1
+        assert seen["potentials"] >= 15 and seen["walked, pruned"] >= 15, seen
+        assert seen["violation"] >= 40, seen
+
+
 class TestScale:
     def test_cyclic_windows_of_eight(self):
         env = cyclic_window_environment(8)
@@ -334,3 +399,21 @@ class TestScale:
         started = time.perf_counter()
         assert validate_complete_cps(cps) is None
         assert time.perf_counter() - started < 3.0
+
+    def test_cyclic_windows_of_fourteen(self):
+        # The walk alone would visit every simple path: several seconds here.
+        env = cyclic_window_environment(14)
+        mu = derive_beliefs(env, Lcps(({s: Fraction(1, 14) for s in env.states},)))
+        started = time.perf_counter()
+        assert check_siniscalchi(env, mu) is None
+        assert time.perf_counter() - started < 0.1
+
+    def test_fourteen_state_two_level_cps(self):
+        states = tuple(f"s{i}" for i in range(14))
+        lcps = Lcps(
+            ({s: Fraction(1, 8) for s in states[:8]}, {s: Fraction(1, 6) for s in states[8:]})
+        )
+        cps = lcps_to_cps(lcps, states)
+        started = time.perf_counter()
+        assert validate_complete_cps(cps) is None
+        assert time.perf_counter() - started < 1.0

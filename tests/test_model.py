@@ -194,6 +194,19 @@ class TestEnvironment:
                   for m in row.values()]
         assert all(type(m) is F for m in values)
 
+    def test_many_states_build_in_linear_time(self):
+        # Each eta row is looked up among the states once, not scanned for.
+        n = 20_000
+        states = [f"s{i}" for i in range(n)]
+        forest = ContingencyForest(["a", "b"], {})
+        eta = {s: {"a" if i % 2 else "b": F(1)} for i, s in enumerate(states)}
+        started = time.perf_counter()
+        env = build_environment(states, forest, eta)
+        assert time.perf_counter() - started < 1.0
+        assert len(env.reach["a"]) == len(env.reach["b"]) == n // 2
+        with pytest.raises(InvalidEnvironment, match=r"eta rows for unknown states \['x'\]"):
+            build_environment(states, forest, {**eta, "x": {"a": F(1)}})
+
     def test_eta_only_on_leaves(self):
         forest = ContingencyForest(["r", "l"], {"l": "r"})
         with pytest.raises(InvalidEnvironment, match="unknown path keys"):
