@@ -8,6 +8,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -260,7 +261,11 @@ def _simulate(args) -> tuple[int, dict]:
     report = run_rounds(env, mu, g, SimConfig(args.rounds, args.seed, mode))
     payload = serialize.sim_report_to_doc(report, env.states)
     deviations = compare_to_exact(report)
-    payload["deviations"] = {s: deviations[s] for s in env.states if s in deviations}
+    # JSON has no infinity: an infinite deviation is written "inf", as odds ratios are.
+    payload["deviations"] = {
+        s: "inf" if deviations[s] == math.inf else deviations[s]
+        for s in env.states if s in deviations
+    }
     payload["flagged"] = flagged_states(deviations)
     return EXIT_OK, payload
 

@@ -36,19 +36,22 @@ class Lcps:
     levels: tuple[Distribution, ...]
 
     @cached_property
-    def _first_level(self) -> dict[str, int]:
-        """Each state's first level with positive mass."""
-        first: dict[str, int] = {}
-        for m, level in enumerate(self.levels):
-            for s, mass in level.items():
-                if mass > 0:
-                    first.setdefault(s, m)
-        return first
+    def _view(self) -> dict[str, tuple[int, int]]:
+        """Each state's first level k with positive mass, and that mass as an
+        integer numerator over the lcm of level k's denominators."""
+        view: dict[str, tuple[int, int]] = {}
+        for k, level in enumerate(self.levels):
+            d = lcm(*(m.denominator for m in level.values()))
+            for s, m in level.items():
+                if m > 0:
+                    view.setdefault(s, (k, m.numerator * (d // m.denominator)))
+        return view
 
     def level_for(self, states: tuple[str, ...] | frozenset[str]) -> int:
         """Index of the first level putting positive mass on the event
         (levels have no negative mass once `validate_lcps` passed)."""
-        hits = [self._first_level[s] for s in states if s in self._first_level]
+        view = self._view
+        hits = [view[s][0] for s in states if s in view]
         if not hits:
             raise InternalError(f"no level explains event {sorted(states)}")
         return min(hits)
@@ -100,18 +103,21 @@ def _bayes_rows(
     env: LearningEnvironment, lcps: Lcps
 ) -> dict[str, tuple[dict[str, tuple[int, int]], int, int]]:
     """Bayes rule at every contingency h, in node order, from the first
-    level l explaining it, in integers: the weights p(h|s)*l(s) > 0 in state
-    order as pairs (a, b), the lcm d of the b and n = sum of a*d/b, so that
-    mu(s|h) = a*d / (b*n)."""
+    level l explaining it, in integers: for each s with p = p(h|s) and
+    p*l(s) > 0, in state order, the weight (a, b) = (p.numerator*N,
+    p.denominator), where l(s) = N/L in the LCPS's integer view, so that
+    a/b = L*p*l(s); the lcm d of the b; and n = sum of a*d/b. Then
+    mu(s|h) = a*d / (b*n), as the common factor L cancels."""
     validate_lcps(lcps, env.states)
+    view = lcps._view
     rows = {}
     for h in env.forest.nodes:
-        level = lcps.levels[lcps.level_for(env.consistent_states[h])]
+        k = lcps.level_for(env.consistent_states[h])
         weights = {}
         for s, p in env.reach[h].items():
-            m = level.get(s)
-            if m:
-                weights[s] = p.numerator * m.numerator, p.denominator * m.denominator
+            j, m = view[s]
+            if j == k:
+                weights[s] = p.numerator * m, p.denominator
         d = lcm(*(b for _, b in weights.values()))
         rows[h] = weights, d, sum(a * (d // b) for a, b in weights.values())
     return rows

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
+from typing import Iterator
 
 from .errors import InputError, NonUniformReach
 from .model import (
@@ -22,8 +23,8 @@ from .model import (
 from .consistency import Lcps, require_valid_beliefs, validate_lcps
 
 # 2^16 - 1 conditioning events: validating the CPS of a two-level LCPS over
-# 16 states takes 0.7-0.8 s and building it with `lcps_to_cps` about 2 s
-# (CPython 3.11.7, one core of a 2-core x86-64 machine).
+# 16 states takes 0.65-0.7 s and building it with `lcps_to_cps` about 0.8 s
+# (best of 3, CPython 3.11.7, one core of a 2-core x86-64 machine).
 MAX_CPS_STATES = 16
 
 
@@ -90,8 +91,8 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
     return _check(cps)[0]
 
 
-def _check(cps: CompleteCps) -> tuple[CpsViolation | None, list[Distribution]]:
-    """The first violation, or None and the levels of the CPS's LCPS."""
+def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
+    """The first violation, or None and the CPS's LCPS."""
     known = set(cps.states)
     for c in cps.subsets():
         if c not in cps.conditionals:
@@ -103,16 +104,16 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, list[Distribution]]:
                     m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError
                 )
         if any(m.numerator < 0 for m in row.values()):
-            return CpsViolation(c, None, None, min(row.values()), ZERO), []
+            return CpsViolation(c, None, None, min(row.values()), ZERO), None
         if not known.issuperset(row):
             raise InputError(f"row {sorted(c)} has unknown states")
         # A row on C sums to its mass on C, so only a row reaching outside C
         # is summed twice.
         if _exact_sum(row.values()) != ONE or (not c.issuperset(row) and mass_of(row, c) != ONE):
-            return CpsViolation(c, None, None, mass_of(row, c), ONE), []
-    levels = _levels(cps)
-    if _represents(cps, levels):
-        return None, levels
+            return CpsViolation(c, None, None, mass_of(row, c), ONE), None
+    lcps = Lcps(tuple(_levels(cps)))
+    if _represents(cps, lcps):
+        return None, lcps
     order = {s: i for i, s in enumerate(cps.states)}
     for c in cps.subsets():
         row_c = cps.conditionals[c]
@@ -121,14 +122,16 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, list[Distribution]]:
             d = frozenset((e, f))
             me, mf, row_d = row_c.get(e, ZERO), row_c.get(f, ZERO), cps.conditionals[d]
             if me * row_d.get(f, ZERO) != mf * row_d.get(e, ZERO):
-                return CpsViolation(c, d, e, me, row_d.get(e, ZERO) * mass_of(row_c, d)), []
-    return None, levels
+                return CpsViolation(c, d, e, me, row_d.get(e, ZERO) * mass_of(row_c, d)), None
+    return None, lcps
 
 
 def _levels(cps: CompleteCps) -> list[Distribution]:
     """Walk the decreasing chain of never-yet-explained events X_0 = S,
     X_1, ...; level k is the positive part of mu(.|X_k). Every row being a
-    distribution on its event, each level explains at least one state."""
+    distribution on its event, each level explains at least one state, sums
+    to 1 and lies in X_k, so every state is positive at exactly one level:
+    the levels form a valid LCPS."""
     levels: list[Distribution] = []
     current = frozenset(cps.states)
     explained: set[str] = set()
@@ -140,26 +143,32 @@ def _levels(cps: CompleteCps) -> list[Distribution]:
     return levels
 
 
-def _represents(cps: CompleteCps, levels: list[Distribution]) -> bool:
-    """True iff every row is the conditioning of the levels' LCPS:
+def _conditionings(
+    lcps: Lcps, states: tuple[str, ...]
+) -> Iterator[tuple[frozenset[str], list[tuple[str, int]], int]]:
+    """For each nonempty C in canonical order (as `CompleteCps.subsets`):
+    C, the states of C at the first level k explaining C, in state order,
+    with their numerators over level k's lcm (the LCPS's integer view), and
+    the total of those numerators. The conditioning at C of the LCPS is
+    then n/total at each of these states and 0 on the rest of C."""
+    view = lcps._view
+    for size in range(1, len(states) + 1):
+        for combo in combinations(states, size):
+            k = min([view[s][0] for s in combo])
+            at_k = [(s, view[s][1]) for s in combo if view[s][0] == k]
+            yield frozenset(combo), at_k, sum([n for _, n in at_k])
+
+
+def _represents(cps: CompleteCps, lcps: Lcps) -> bool:
+    """True iff every row is the conditioning of the LCPS:
     mu(e|C) * l_k(C) = l_k(e) for every C and e in C, with k the first level
-    with l_k(C) > 0. Each level is kept as integer numerators over its lcm.
-    Only the e of C at level k are tested: when they pass, their masses sum
-    to l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
+    with l_k(C) > 0, cross-multiplied against `_conditionings`. Only the e
+    of C at level k are tested: when they pass, their masses sum to
+    l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
     row is a distribution on C."""
-    first: dict[str, int] = {}
-    numer: dict[str, int] = {}
-    for k, level in enumerate(levels):
-        d = lcm(*(m.denominator for m in level.values()))
-        for s, m in level.items():
-            first[s] = k
-            numer[s] = m.numerator * (d // m.denominator)
-    for c in cps.subsets():
-        k = min(first[s] for s in c)
-        at_k = {s: numer[s] for s in c if first[s] == k}
-        total = sum(at_k.values())
+    for c, at_k, total in _conditionings(lcps, cps.states):
         row = cps.conditionals[c]
-        for e, n in at_k.items():
+        for e, n in at_k:
             m = row.get(e, ZERO)
             if m.numerator * total != m.denominator * n:
                 return False
@@ -167,25 +176,20 @@ def _represents(cps: CompleteCps, levels: list[Distribution]) -> bool:
 
 
 def lcps_to_cps(lcps: Lcps, states: tuple[str, ...]) -> CompleteCps:
-    """Condition the first level explaining each event."""
+    """Condition the first level explaining each event: n/total at each
+    state of `_conditionings`, in state order."""
     validate_lcps(lcps, states)
     cps = CompleteCps(states, {})
-    for c in cps.subsets():
-        level = lcps.levels[lcps.level_for(c)]
-        total = mass_of(level, c)
-        cps.conditionals[c] = {
-            s: level[s] / total for s in states if s in c and level.get(s, ZERO) > 0
-        }
+    for c, at_k, total in _conditionings(lcps, states):
+        cps.conditionals[c] = {s: Fraction(n, total) for s, n in at_k}
     return cps
 
 
 def cps_to_lcps(cps: CompleteCps) -> Lcps:
-    """The levels `validate_complete_cps` found, once it found no violation."""
-    violation, levels = _check(cps)
+    """The LCPS `validate_complete_cps` found, once it found no violation."""
+    violation, lcps = _check(cps)
     if violation is not None:
         raise InputError(f"invalid complete CPS: {violation}")
-    lcps = Lcps(tuple(levels))
-    validate_lcps(lcps, cps.states)
     return lcps
 
 

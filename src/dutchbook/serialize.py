@@ -3,8 +3,9 @@ systems, and verdicts.
 
 Rationals travel as strings "p/q" (or "n" for integers). Canonical writers
 put every sparse row through `_row_to_doc`, which orders its keys by the
-state-space / forest order so output is byte-stable; readers reject
-unknown keys.
+state-space / forest order so output is byte-stable; eta rows, which
+`build_environment` already stores that way, are written as stored.
+Readers reject unknown keys.
 """
 from __future__ import annotations
 
@@ -110,12 +111,16 @@ def environment_from_doc(doc: Any) -> LearningEnvironment:
 
 
 def environment_to_doc(env: LearningEnvironment) -> dict:
+    """`build_environment` stores each eta row positive and in forest order,
+    so the rows are written as stored."""
     return {
         "states": list(env.states),
         "contingencies": [
             {"id": h, "parent": env.forest.parent.get(h)} for h in env.forest.nodes
         ],
-        "eta": {s: _row_to_doc(env.eta[s], env.forest.index) for s in env.states},
+        "eta": {
+            s: {leaf: format_rational(m) for leaf, m in env.eta[s].items()} for s in env.states
+        },
     }
 
 
@@ -317,7 +322,7 @@ def sim_report_to_doc(report: SimReport, states: tuple[str, ...]) -> dict:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def load_file(path: str) -> Any:

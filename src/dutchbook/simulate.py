@@ -89,6 +89,21 @@ def _thresholds(masses: Iterable[tuple[str, Fraction]]) -> tuple[list[int], list
     return bounds, keys
 
 
+def _squares(s: str, payoffs: list[Fraction], rounds: int) -> list[float]:
+    """float(x)**2 for each path payoff x of state s, once rounds * x**2 is
+    a finite float for each: then no square sum, mean or standard deviation
+    of the replay overflows. DomainError otherwise."""
+    try:
+        squares = [float(x) ** 2 for x in payoffs]
+        if math.isfinite(rounds * max(squares)):
+            return squares
+    except OverflowError:  # float(x), its square, or rounds itself
+        pass
+    raise DomainError(
+        f"state {s!r}: a path payoff is too large for {rounds} rounds of float squares"
+    )
+
+
 def run_rounds(
     env: LearningEnvironment,
     mu: BeliefSystem,
@@ -123,7 +138,7 @@ def run_rounds(
     rows = {}
     for s in tracked:
         bounds, leaves[s] = _thresholds(env.eta[s].items())
-        squares = [float(payoff[s][leaf]) ** 2 for leaf in leaves[s]]
+        squares = _squares(s, [payoff[s][leaf] for leaf in leaves[s]], cfg.rounds)
         rows[s] = (bounds, [0] * len(bounds), squares)
 
     # Float addition is not associative, so the square sums are added round

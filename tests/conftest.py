@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,8 +21,6 @@ from dutchbook import (
     build_environment,
     check_complete_consistency,
     derive_beliefs,
-    expected_payoff,
-    is_willing_to_accept,
 )
 from dutchbook.errors import InvalidEnvironment
 
@@ -132,33 +131,50 @@ def filtration_beliefs(rng: random.Random, env: LearningEnvironment) -> BeliefSy
     return mu
 
 
+# k/16 for each payoff numerator k the generator draws, built once.
+_SIXTEENTHS = {k: Fraction(k, 16) for k in range(-160, 161)}
+
+
+def _accepts(w, ks) -> bool:
+    """The acceptance rule on integers: masses w[s] and payoffs ks[s] are
+    numerators over positive common denominators, so the expectation has
+    the sign of sum w*k."""
+    value = sum(w[s] * k for s, k in ks.items())
+    if value:
+        return value > 0
+    return all(k >= 0 for s, k in ks.items() if not w[s])
+
+
 def accepted_gambles(
     rng: random.Random, env: LearningEnvironment, mu: BeliefSystem
 ) -> GambleSystem:
     """Random payoffs in [-10, 10] with denominators <= 16, repaired to be
-    acceptable by scaling the positive part (or dropping the gamble)."""
+    acceptable by scaling the positive part (or dropping the gamble).
+
+    Computed on integers, independently of the library's acceptance code:
+    mu(.|h) as numerators w over their lcm, payoffs as numerators k over 16.
+    A rejected gamble has v = sum w*k and positive part p = sum of w*k over
+    k > 0; when p > 0, each positive payoff is scaled by (p - v)/p, so the
+    gamble becomes numerators k*(p - v) or k*p over 16*p."""
     g: GambleSystem = {}
     for h in env.forest.nodes:
         if rng.random() < 0.3:
             continue
         sh = env.consistent_states[h]
-        gamble = {
-            s: Fraction(rng.randint(-160, 160), 16)
-            for s in rng.sample(sh, rng.randint(1, len(sh)))
-        }
-        gamble = {s: x for s, x in gamble.items() if x != 0}
-        if not is_willing_to_accept(mu[h], gamble):
-            value = expected_payoff(mu[h], gamble)
-            positive = sum(
-                (mu[h].get(s, ZERO) * x for s, x in gamble.items() if x > 0), ZERO
-            )
+        ks = {s: rng.randint(-160, 160) for s in rng.sample(sh, rng.randint(1, len(sh)))}
+        ks = {s: k for s, k in ks.items() if k}
+        row = mu[h]
+        d = lcm(*(m.denominator for m in row.values()))
+        w = {s: row[s].numerator * (d // row[s].denominator) if s in row else 0 for s in ks}
+        if not _accepts(w, ks):
+            value = sum(w[s] * k for s, k in ks.items())
+            positive = sum(w[s] * k for s, k in ks.items() if k > 0)
             if positive > 0:
-                scale = (positive - value) / positive  # lifts the expectation to +positive
-                gamble = {s: (x * scale if x > 0 else x) for s, x in gamble.items()}
-            else:
-                gamble = {}
-        if gamble and is_willing_to_accept(mu[h], gamble):
-            g[h] = gamble
+                ks = {s: k * (positive - value) if k > 0 else k * positive for s, k in ks.items()}
+                if _accepts(w, ks):
+                    g[h] = {s: Fraction(k, 16 * positive) for s, k in ks.items()}
+        elif ks:
+            g[h] = {s: _SIXTEENTHS[k] for s, k in ks.items()}
     return g
 
 

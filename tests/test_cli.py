@@ -339,6 +339,51 @@ class TestSimulateCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+class TestSimulateStrictJson:
+    """States a, b; root r with leaves x, y; eta[a] puts 2**-40 on y, so 20
+    rounds at a never reach y, and a book pays `payoff` at y."""
+
+    def run(self, capsys, tmp_path, payoff):
+        env = {
+            "states": ["a", "b"],
+            "contingencies": [{"id": "r", "parent": None}, {"id": "x", "parent": "r"},
+                              {"id": "y", "parent": "r"}],
+            "eta": {"a": {"x": f"{2**40 - 1}/{2**40}", "y": f"1/{2**40}"},
+                    "b": {"x": "1/2", "y": "1/2"}},
+        }
+        half = {"a": "1/2", "b": "1/2"}
+        files = {
+            "env": env,
+            "beliefs": {"beliefs": {"r": half, "x": half, "y": half}},
+            "book": {"gambles": {"y": {"a": payoff, "b": payoff}}},
+        }
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        code = main(["simulate", *(f"--{name}={tmp_path / name}.json" for name in files),
+                     "--rounds", "20", "--seed", "1", "--state", "a"])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out, parse_constant=_reject_constant), captured.err
+
+    def test_infinite_deviation_is_the_string_inf(self, capsys, tmp_path):
+        code, payload, err = self.run(capsys, tmp_path, "5")
+        assert code == 0
+        assert payload["perState"]["a"]["sampleStdDev"] == 0.0
+        assert payload["deviations"] == {"a": "inf"}
+        assert payload["flagged"] == ["a"]
+        assert err == ""
+
+    @pytest.mark.parametrize("payoff", [str(10**200), str(10**400)], ids=["1e200", "1e400"])
+    def test_overflowing_payoff_is_a_domain_error(self, capsys, tmp_path, payoff):
+        code, payload, err = self.run(capsys, tmp_path, payoff)
+        assert code == 2
+        assert payload["error"]["code"] == "domain"
+        assert err == ""
+
+
 class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, payload = run(capsys, "validate", "--env", "no-such-file.json")

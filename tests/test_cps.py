@@ -25,7 +25,7 @@ from dutchbook.model import ONE, ZERO, mass_of
 from dutchbook import cps as cps_module
 from dutchbook import fixtures as fx
 
-from conftest import random_lcps, weights
+from conftest import random_environment, random_lcps, weights
 from test_odds import coherence_instances
 
 F = Fraction
@@ -122,6 +122,72 @@ class TestCpsToLcps:
         cps.conditionals[frozenset({"ma", "pa"})] = {"ma": F(2, 3), "pa": F(1, 3)}
         with pytest.raises(InputError, match="invalid complete CPS"):
             cps_to_lcps(cps)
+
+
+def sparse_lcps(rng, states):
+    """`random_lcps` with zero masses at other levels' states and masses of 1
+    or 0 sometimes plain ints, as in ({a: 1, b: 0}, {b: 1})."""
+    levels = []
+    for level in random_lcps(rng, states).levels:
+        level = {s: 1 if m == 1 and rng.random() < 0.5 else m for s, m in level.items()}
+        for s in rng.sample(states, rng.randint(0, len(states))):
+            level.setdefault(s, rng.choice((0, ZERO)))
+        keys = list(level)
+        rng.shuffle(keys)
+        levels.append({s: level[s] for s in keys})
+    return Lcps(tuple(levels))
+
+
+def reference_lcps_to_cps(lcps, states):
+    """Each row as `Fraction`s: the first level with positive mass on C,
+    divided by its mass on C, at C's positive states in state order."""
+    rows = {}
+    for k in range(1, len(states) + 1):
+        for combo in combinations(states, k):
+            c = frozenset(combo)
+            level = next(l for l in lcps.levels if any(l.get(s, ZERO) > 0 for s in c))
+            total = sum((level.get(s, ZERO) for s in c), ZERO)
+            rows[c] = {s: level[s] / total for s in states if s in c and level.get(s, ZERO) > 0}
+    return rows
+
+
+def reference_derive_beliefs(env, lcps):
+    """Bayes rule at each h from the first level with positive mass on S(h)."""
+    mu = {}
+    for h in env.forest.nodes:
+        sh = env.consistent_states[h]
+        level = next(l for l in lcps.levels if any(l.get(s, ZERO) > 0 for s in sh))
+        joint = {s: p * level[s] for s, p in env.reach[h].items() if level.get(s, ZERO) > 0}
+        total = sum(joint.values(), ZERO)
+        mu[h] = {s: w / total for s, w in joint.items()}
+    return mu
+
+
+class TestZeroAndIntegerLevelMasses:
+    def test_example(self):
+        lcps = Lcps(({"a": 1, "b": 0}, {"b": 1}))
+        cps = lcps_to_cps(lcps, ("a", "b"))
+        rows = [{"a": F(1)}, {"b": F(1)}, {"a": F(1)}]
+        assert repr(list(cps.conditionals.values())) == repr(rows)
+        assert cps_to_lcps(cps).levels == ({"a": 1}, {"b": 1})
+
+    def test_conversions_and_beliefs_match_references(self):
+        rng = random.Random(2020)
+        seen = Counter()
+        for _ in range(150):
+            env = random_environment(rng, max_states=6, max_nodes=8)
+            lcps = sparse_lcps(rng, env.states)
+            for level in lcps.levels:
+                seen["int"] += any(type(m) is int for m in level.values())
+                seen["zero"] += any(m == 0 for m in level.values())
+            cps = lcps_to_cps(lcps, env.states)
+            reference = reference_lcps_to_cps(lcps, env.states)
+            assert list(cps.conditionals) == list(reference)
+            assert repr(cps.conditionals) == repr(reference)
+            assert repr(derive_beliefs(env, lcps)) == repr(reference_derive_beliefs(env, lcps))
+            positive = tuple({s: m for s, m in level.items() if m > 0} for level in lcps.levels)
+            assert cps_to_lcps(cps).levels == positive
+        assert seen["int"] >= 50 and seen["zero"] >= 100
 
 
 class TestSiniscalchi:

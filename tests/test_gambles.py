@@ -47,6 +47,7 @@ from dutchbook.model import ONE, ZERO, has_deterministic_continuation
 
 from conftest import (
     accepted_gambles,
+    filtration_beliefs,
     inconsistent_beliefs,
     perturbable,
     random_environment,
@@ -399,6 +400,101 @@ class TestAcceptedGambleGenerator:
         for _ in range(100):
             g = accepted_gambles(rng, env, mu)
             assert accepts_system(env, mu, g).accepted
+
+
+def reference_accepted_gambles(rng, env, mu):
+    """`conftest.accepted_gambles` as it was on `Fraction`s through the
+    library's `expected_payoff` and `is_willing_to_accept`, kept to check
+    that the integer generator draws the same instances."""
+    g = {}
+    for h in env.forest.nodes:
+        if rng.random() < 0.3:
+            continue
+        sh = env.consistent_states[h]
+        gamble = {
+            s: Fraction(rng.randint(-160, 160), 16)
+            for s in rng.sample(sh, rng.randint(1, len(sh)))
+        }
+        gamble = {s: x for s, x in gamble.items() if x != 0}
+        if not is_willing_to_accept(mu[h], gamble):
+            value = expected_payoff(mu[h], gamble)
+            positive = sum(
+                (mu[h].get(s, ZERO) * x for s, x in gamble.items() if x > 0), ZERO
+            )
+            if positive > 0:
+                scale = (positive - value) / positive
+                gamble = {s: (x * scale if x > 0 else x) for s, x in gamble.items()}
+            else:
+                gamble = {}
+        if gamble and is_willing_to_accept(mu[h], gamble):
+            g[h] = gamble
+    return g
+
+
+def same_draw(rng, env, mu):
+    """One `accepted_gambles` call, checked against the reference from the
+    same generator state: the same system (key order included) and the same
+    state afterwards, so the rest of the stream is unchanged too."""
+    before = rng.getstate()
+    expected = reference_accepted_gambles(rng, env, mu)
+    after = rng.getstate()
+    rng.setstate(before)
+    g = accepted_gambles(rng, env, mu)
+    assert repr(g) == repr(expected)
+    assert rng.getstate() == after
+    return g
+
+
+class TestAcceptedGamblesMatchReference:
+    """Every seeded stream that draws accepted systems, replayed as its test
+    draws it, with each draw checked by `same_draw`: the first 3 of the
+    criterion 05 and 06 instances (1000 draws each), the others whole."""
+
+    def test_fixture_stream(self, rng):
+        env, mu = fx.larry_environment(), fx.regret_beliefs()
+        for _ in range(100):
+            same_draw(rng, env, mu)
+
+    def test_criterion_05_stream(self):
+        rng = random.Random(5)
+        for _ in range(3):
+            env = random_environment(rng, max_states=4, max_nodes=6)
+            mu = derive_beliefs(env, random_lcps(rng, env.states))
+            for _ in range(1000):
+                same_draw(rng, env, mu)
+
+    def test_criterion_06_stream(self):
+        rng = random.Random(6)
+        for _ in range(3):
+            env = point_mass_tree_environment(rng)
+            mu = filtration_beliefs(rng, env)
+            for _ in range(1000):
+                same_draw(rng, env, mu)
+
+    def test_criterion_10_stream(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = (
+                derive_beliefs(env, random_lcps(rng, env.states))
+                if rng.random() < 0.5 or not perturbable(env)
+                else inconsistent_beliefs(rng, env)
+            )
+            same_draw(rng, env, mu)
+            rng.shuffle(list(env.states))
+
+    def test_sparse_classifier_stream(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = (
+                inconsistent_beliefs(rng, env)
+                if perturbable(env) and rng.random() < 0.5
+                else derive_beliefs(env, random_lcps(rng, env.states))
+            )
+            same_draw(rng, env, mu)
+            for _ in rng.sample(env.forest.nodes, min(2, len(env.forest.nodes))):
+                rng.choice(env.states)
 
 
 # Reference implementations: the epsilon-halving retry loops that the closed
