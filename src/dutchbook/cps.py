@@ -232,11 +232,16 @@ def check_siniscalchi(
         raise InputError("max_len must be at least 2")
     supports = {h: frozenset(env.consistent_states[h]) for h in contingencies}
     # a -> [(b, mu(O|b), mu(O|a))] for O = S(a) & S(b) nonempty, b in node order,
-    # each mass as its numerator and denominator
-    links = {a: [(b, *_mass(mu[b], o), *_mass(mu[a], o))
-                 for b in contingencies if b != a and (o := supports[a] & supports[b])]
-             for a in contingencies}
-    # Each overlap is listed from both sides, so this reads every overlap mass.
+    # each mass as its numerator and denominator. Each unordered pair is summed
+    # once and listed from both sides; pairs come in node order, so each list
+    # stays in node order.
+    links: dict[str, list[tuple]] = {a: [] for a in contingencies}
+    for a, b in combinations(contingencies, 2):
+        if o := supports[a] & supports[b]:
+            to_a, to_b = _mass(mu[a], o), _mass(mu[b], o)
+            links[a].append((b, *to_b, *to_a))
+            links[b].append((a, *to_a, *to_b))
+    # Every overlap is listed from both sides, so this reads every overlap mass.
     positive = all(to_b for out in links.values() for _, to_b, _, _, _ in out)
     if positive and _potentials_hold(env, mu, links):
         return None

@@ -17,6 +17,7 @@ from .model import (
     _exact_sum,
     _require_rational,
     has_deterministic_continuation,
+    mass_of,
 )
 from .consistency import (
     ForwardViolation,
@@ -202,10 +203,10 @@ def dutch_book_synthesis(
     """Turn a coherence violation into a verified, accepted Dutch book.
 
     Every book entry is affine in eps, so each state's objective expectation
-    is a + eps * d: a from the book at eps = 0, d from one more classification
-    at eps = 1 (a state with a = d = 0 is 0 at every eps and is left out).
+    is a + eps * d. The book is a Dutch book for exactly 0 < eps <= hi = -a/d,
+    a and d being the anchor t_0's: a = sum_h p(h|t_0) * g(t_0|h) in the book
+    at eps = 0, and d the same sum at eps = 1, less a; no other state is read.
 
-    The book is a Dutch book for exactly 0 < eps <= hi = min(-a/d over d > 0).
     Proof: let link m of the oriented witness run from t_m to t_m+1 at h_m,
     with g(t_m | h_m) = a_m and g(t_m+1 | h_m) = b_m, and t_M = t_0 the
     anchor; the t_m are distinct and M >= 2. For 0 < m < M, t_m is worth
@@ -217,7 +218,7 @@ def dutch_book_synthesis(
     p(h_m-1|t_m)/p(h_m|t_m) > 0, so b_M-1 has an eps coefficient c >= 1 and
     d = p(h_M-1|t_0) * c. So only the anchor can be positive, iff eps > hi.
 
-    eps is the first of epsilon, epsilon/2, ... at most hi (hi <= 0 leaves none),
+    eps is the first of epsilon, epsilon/2, ... at most hi (d <= 0 leaves none),
     in closed form as in `deterministic_synthesis`: epsilon/2^k <= hi iff
     2^k > ceil(epsilon/hi) - 1, so k is the bit length of ceil(epsilon/hi) - 1.
     Acceptance holds for every eps > 0: each cycle contingency's expectation
@@ -231,21 +232,20 @@ def dutch_book_synthesis(
     witness = result.violation
     cycle = _orient_cycle(witness.cycle, witness.product)
 
-    # Telescoping identity at eps = 0: the anchor's objective expectation
-    # is exactly -p(h_0|t_0) * (1 - r).
+    # The anchor's objective expectation a at eps = 0 and a + d at eps = 1.
     anchor, h0 = cycle[0].src, cycle[0].h
+    a, a1 = (_exact_sum(env.reach[h][anchor] * row[anchor]
+                        for h, row in _expected_terms_book(env, mu, cycle, eps).items()
+                        if anchor in row) for eps in (ZERO, ONE))
+    # Telescoping identity at eps = 0: a is exactly -p(h_0|t_0) * (1 - r) < 0.
     r = ZERO
     if witness.product.is_finite:
         r = min(witness.product.value, 1 / witness.product.value)
-    v0 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ZERO)).per_state
-    if v0[anchor] != -env.reach[h0][anchor] * (ONE - r):
+    if a != -env.reach[h0][anchor] * (ONE - r):
         raise InternalError("telescoping identity failed on witness cycle")
-    v1 = classify_dutch_book(env, _expected_terms_book(env, mu, cycle, ONE)).per_state
-
-    terms = [(v0[s], v1[s] - v0[s]) for s in env.states if v0[s] or v1[s]]
-    hi = min(-a / d for a, d in terms if d > 0)
-    if hi <= 0:
+    if a1 <= a:
         raise InternalError("epsilon shrinking exhausted; witness cycle is defective")
+    hi = -a / (a1 - a)
     eps = epsilon / 2 ** (math.ceil(epsilon / hi) - 1).bit_length()
     g = _expected_terms_book(env, mu, cycle, eps)
     acceptance, verdict = accepts_system(env, mu, g), classify_dutch_book(env, g)
@@ -285,6 +285,32 @@ def synthesize_deterministic_db(
     return deterministic_synthesis(env, mu, epsilon).book
 
 
+def _halved_below(epsilon: Fraction | None, bound: Fraction) -> Fraction:
+    """The first of epsilon, epsilon/2, ... below bound > 0, epsilon defaulting
+    to bound/2: epsilon/2^k < bound iff floor(epsilon/bound) < 2^k, so k is
+    the bit length of floor(epsilon/bound)."""
+    eps = epsilon if epsilon is not None else bound / 2
+    return eps / 2 ** (eps // bound).bit_length()
+
+
+def _indicator_book(
+    env: LearningEnvironment, mu: BeliefSystem, v: ForwardViolation, epsilon: Fraction | None
+) -> GambleSystem:
+    """The indicator book of `deterministic_synthesis` on violation v."""
+    h, hp = v.h, v.h_prime
+    shp = env.consistent_states[hp]
+    m = mass_of(mu[h], shp)
+    nu = {s: mu[h].get(s, ZERO) / m for s in shp}
+    s0 = next(s for s in shp if mu[hp].get(s, ZERO) > nu[s])
+    gap = mu[hp][s0] - nu[s0]
+    c = nu[s0] + gap / 2
+    delta = _halved_below(epsilon, gap / 2)
+    return {
+        h: {s: c - delta - (ONE if s == s0 else ZERO) for s in shp},
+        hp: {s: (ONE if s == s0 else ZERO) - c for s in shp},
+    }
+
+
 def deterministic_synthesis(
     env: LearningEnvironment, mu: BeliefSystem, epsilon: Fraction | None = None
 ) -> Synthesis:
@@ -293,13 +319,26 @@ def deterministic_synthesis(
     Requires deterministic continuation, so every path of a state in S(h')
     that passes h reaches h'. With odds x at h above y at h', the book is
     g(.|h) = {s: 1, s': eps/3 - x}, g(.|h') = {s: -1 - d, s': y + eps/3}
-    for the first eps of epsilon, epsilon/2, ... below x - y > 0, that is
-    eps = epsilon / 2^k with k the bit length of floor(epsilon / (x - y)).
+    for the first eps of epsilon, epsilon/2, ... below x - y > 0 (default
+    (x - y)/2), as `_halved_below` computes it.
     Proof: the expectation at h is mu(s'|h)*eps/3 > 0, at h' it is
     mu(s'|h')*(eps/3 - y*d), i.e. mu(s'|h')*eps*(1/3 - y^2/4) for the drag
     d = y*eps/4; so d = y*eps/4 iff 3y^2 < 4 (no rational y has 3y^2 = 4),
     else d = 0. Paths through h sum to -d <= 0 for s and to
     y - x + 2*eps/3 < 0 for s' (one exists as mu(s'|h) > 0); others to 0.
+
+    When no violation has such a pair (each then has a zero mass), the
+    book comes from the first violation (h, h'), h a proper ancestor of h'
+    and m = mu(S(h')|h) > 0. On S(h'), nu = mu(.|h)/m and nu' = mu(.|h')
+    both sum to 1 and differ, so some state has nu' > nu; s0 is the first,
+    gap = nu'(s0) - nu(s0) > 0 and c = nu(s0) + gap/2. The book is
+    g(.|h') = 1[s0] - c and g(.|h) = c - 1[s0] - delta on S(h'), with delta
+    the first of epsilon, epsilon/2, ... below gap/2 (default gap/4).
+    Proof: the expectation at h' is nu'(s0) - c = gap/2 > 0, and at h it is
+    m*(c - nu(s0) - delta) = m*(gap/2 - delta) > 0. A path of a state of
+    S(h') that passes h reaches h', so it sums to -delta; a path through h'
+    passes h; any other path, of a state outside S(h') or missing h, is paid
+    nothing. Each state of S(h') has a path through h', so the book loses.
     """
     if epsilon is not None:
         epsilon = _positive_epsilon(epsilon)
@@ -315,16 +354,12 @@ def deterministic_synthesis(
         )
     found = _deterministic_witness_pair(env, mu, itertools.chain([first], violations))
     if found is None:
-        raise PreconditionViolation(
-            "every violating orientation has an infinite odds ratio; "
-            "no finite witness pair available"
-        )
-    h, hp, s, sp, x, y = found
-
-    eps = epsilon if epsilon is not None else (x - y) / 2
-    eps /= 2 ** (eps // (x - y)).bit_length()
-    drag = y * eps / 4 if 3 * y * y < 4 else ZERO
-    g: GambleSystem = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}
+        g = _indicator_book(env, mu, first, epsilon)
+    else:
+        h, hp, s, sp, x, y = found
+        eps = _halved_below(epsilon, x - y)
+        drag = y * eps / 4 if 3 * y * y < 4 else ZERO
+        g = {h: {s: ONE, sp: -x + eps / 3}, hp: {s: -ONE - drag, sp: y + eps / 3}}
     acceptance, verdict = accepts_system(env, mu, g), classify_deterministic(env, g)
     if not (acceptance.accepted and verdict.is_deterministic_db):
         raise InternalError("deterministic book failed verification")

@@ -179,6 +179,23 @@ class TestSynthesisCommands:
         assert code == 0
         assert payload["verdict"]["isDeterministicDB"] is True
 
+    def test_synth_deterministic_without_finite_pair(self, capsys, tmp_path):
+        # Every violating pair of states has a zero mass, so no two finite
+        # odds compare; the indicator book is built, and verifies.
+        env, beliefs = DATA / "single-child.json", DATA / "disjoint-beliefs.json"
+        code, payload = run(capsys, "synth-deterministic", "--env", env, "--beliefs", beliefs)
+        assert code == 0
+        assert payload["gambles"] == {
+            "r": {"a": "1/4", "b": "1/4", "c": "-3/4"},
+            "x": {"a": "-1/2", "b": "-1/2", "c": "1/2"},
+        }
+        book = tmp_path / "book.json"
+        book.write_text(json.dumps({"gambles": payload["gambles"]}))
+        code, payload = run(capsys, "verify-deterministic", "--env", env, "--book", book,
+                            "--beliefs", beliefs)
+        assert code == 0
+        assert payload["perPath"] == {s: {"x": "-1/4"} for s in "abc"}
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -246,7 +263,7 @@ class TestSynthesisCommands:
         "command, env, beliefs, expected",
         [
             ("synth-book", "larry.json", "regret.json",
-             {"accepts_system": 1, "classify_dutch_book": 3, "classify_deterministic": 0}),
+             {"accepts_system": 1, "classify_dutch_book": 1, "classify_deterministic": 0}),
             ("synth-deterministic", "nested.json", "drift.json",
              {"accepts_system": 1, "classify_dutch_book": 0, "classify_deterministic": 1}),
         ],
@@ -254,8 +271,9 @@ class TestSynthesisCommands:
     )
     def test_one_verification_per_synthesis(self, capsys, monkeypatch, command, env, beliefs,
                                             expected):
-        # synth-book classifies at eps = 0 and eps = 1 to get the affine
-        # values, then verifies the final book once; the CLI re-checks nothing.
+        # synth-book reads its eps bound off the anchor's entries alone, so
+        # each synthesizer classifies only its final book; the CLI re-checks
+        # nothing.
         calls = dict.fromkeys(expected, 0)
 
         def counting(name, fn):

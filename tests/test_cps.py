@@ -447,6 +447,14 @@ class TestLarryRing:
         assert seen["potentials"] >= 15 and seen["walked, pruned"] >= 15, seen
         assert seen["violation"] >= 40, seen
 
+    def test_each_overlap_mass_is_summed_once(self, monkeypatch):
+        # Larry's six contingencies meet in nine overlapping pairs; each
+        # overlap is summed once from each side, 18 sums in all.
+        calls = []
+        monkeypatch.setattr(cps_module, "mass_of", lambda *a: calls.append(a) or mass_of(*a))
+        assert check_siniscalchi(fx.larry_environment(), fx.lex_beliefs()) is None
+        assert len(calls) == 18
+
 
 class TestScale:
     def test_cyclic_windows_of_eight(self):

@@ -52,6 +52,7 @@ from conftest import (
     perturbable,
     random_environment,
     random_lcps,
+    weights,
 )
 from test_acceptance import forward_inconsistent_beliefs, point_mass_tree_environment
 
@@ -668,25 +669,68 @@ class TestSynthesisRecord:
         assert synthesis.verdict == classify_deterministic(env, synthesis.book)
 
     def test_no_epsilon_left_raises_at_once(self, monkeypatch):
-        # A state worth 0 at eps = 0 and 1 at eps = 1 is positive at every
-        # eps > 0, so hi = 0: no eps is tried and no book is built.
-        env, mu = fx.larry_environment(), fx.regret_beliefs()
-        witness = check_complete_consistency(env, mu).violation
-        anchor = _orient_cycle(witness.cycle, witness.product)[0].src
-        other = next(s for s in env.states if s != anchor)
-        real, classified = gambles.classify_dutch_book, []
+        # With the anchor's eps coefficient d zeroed (the eps = 1 book read
+        # as the eps = 0 one), the anchor is worth a < 0 at every eps, so
+        # hi = -a/d does not exist: no eps is tried and no book is built.
+        real, built = gambles._expected_terms_book, []
 
-        def skewed(env, g):
-            verdict = real(env, g)
-            verdict.per_state[other] = F(len(classified))
-            classified.append(verdict)
-            return verdict
+        def flat(env, mu, cycle, eps):
+            built.append(eps)
+            return real(env, mu, cycle, ZERO)
 
-        monkeypatch.setattr(gambles, "classify_dutch_book", skewed)
+        monkeypatch.setattr(gambles, "_expected_terms_book", flat)
         monkeypatch.setattr(gambles, "accepts_system", None)
         with pytest.raises(InternalError, match="epsilon shrinking exhausted"):
-            dutch_book_synthesis(env, mu)
-        assert len(classified) == 2
+            dutch_book_synthesis(fx.larry_environment(), fx.regret_beliefs())
+        assert built == [ZERO, ONE]
+
+
+class TestIndicatorBook:
+    """Under deterministic continuation every forward-inconsistent system gets
+    a deterministic book, also when no violation has two finite odds."""
+
+    def test_every_inconsistent_system_gets_a_book(self):
+        # Beliefs drawn with zero masses; about a third of the inconsistent
+        # ones have no finite witness pair and take the indicator book.
+        rng, envs, books, indicator = random.Random(99), 0, 0, 0
+        while envs < 500:
+            env = random_environment(rng)
+            if not has_deterministic_continuation(env):
+                continue
+            envs += 1
+            mu = {h: weights(rng, env.consistent_states[h]) for h in env.forest.nodes}
+            if check_forward_consistency(env, mu) is None:
+                continue
+            indicator += _deterministic_witness_pair(env, mu, forward_violations(env, mu)) is None
+            book = synthesize_deterministic_db(env, mu)
+            assert accepts_system(env, mu, book).accepted
+            assert classify_deterministic(env, book).is_deterministic_db
+            books += 1
+        assert (books, indicator) == (258, 87)
+
+    @pytest.mark.parametrize(
+        "epsilon, delta",
+        [(None, F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 4)), (F(3, 4), F(3, 8)),
+         (F(2**70), F(1, 4))],
+        ids=["default", "1/3", "1/2", "3/4", "2^70"],
+    )
+    def test_delta_is_first_halving_below_half_the_gap(self, epsilon, delta):
+        # The gap is 1 on this example, so delta is the first of epsilon,
+        # epsilon/2, ... strictly below 1/2, and gap/4 by default.
+        env, mu = single_child_example()
+        book = synthesize_deterministic_db(env, mu, epsilon)
+        assert book == {"r": {"a": F(1, 2) - delta, "b": F(1, 2) - delta, "c": -F(1, 2) - delta},
+                        "x": {"a": F(-1, 2), "b": F(-1, 2), "c": F(1, 2)}}
+
+
+def single_child_example():
+    """Root r with one child x that every state reaches; the beliefs at r
+    and at x have disjoint supports, so every odds pair has a zero mass."""
+    env = build_environment(
+        ["a", "b", "c"], ContingencyForest(["r", "x"], {"x": "r"}),
+        {s: {"x": ONE} for s in "abc"},
+    )
+    return env, {"r": {"a": F(1, 2), "b": F(1, 2)}, "x": {"c": ONE}}
 
 
 class TestLargeEpsilon:
