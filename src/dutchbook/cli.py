@@ -19,7 +19,6 @@ from .consistency import (
     check_complete_consistency,
     check_forward_consistency,
     derive_beliefs,
-    require_valid_beliefs,
     validate_lcps,
 )
 from .cps import check_siniscalchi, cps_to_lcps, lcps_to_cps
@@ -37,7 +36,7 @@ from .gambles import (
     deterministic_synthesis,
     dutch_book_synthesis,
 )
-from .model import is_uniform_reach, validate_belief_system
+from .model import is_uniform_reach, require_valid_beliefs, validate_belief_system
 from .simulate import (
     FixedState,
     Prior,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import InputError, InternalError, PreconditionViolation
 from .model import (
@@ -15,11 +15,11 @@ from .model import (
     Distribution,
     LearningEnvironment,
     ONE,
-    ZERO,
+    _BeliefView,
     _exact_sum,
+    _integer_row,
     _require_rational,
-    mass_of,
-    validate_belief_system,
+    require_valid_beliefs,
 )
 from .odds import (
     CoherenceCertificate,
@@ -133,37 +133,35 @@ def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
 
 
 def verify_ccbs(env: LearningEnvironment, mu: BeliefSystem, lcps: Lcps) -> bool:
-    """True iff mu is exactly the belief system the LCPS induces, row for row;
-    a non-rational mass in a row of the forest raises DomainError.
+    """True iff mu is exactly the belief system the LCPS induces, row for row.
+    mu is a belief system, where a non-rational mass in a row of the forest
+    raises DomainError, or the integer view `require_valid_beliefs` made of
+    one.
 
-    Row mu(.|h) is read against the Bayes row (weights (a, b), d, n) of
-    `_bayes_rows`. It matches iff it has exactly as many nonzero masses as
-    there are weights, and m = mu(s|h) has m.numerator*b*n = m.denominator*a*d
-    at each weight. Proof: every Bayes mass a*d/(b*n) is positive, so a
-    matching row carries each one exactly, at a nonzero mass; the count then
-    leaves no other nonzero mass, negative or outside S(h) included.
+    Row h of the view, (d, n) with n the nonzero masses times d, is read
+    against the Bayes row (weights (a, b), d', n') of `_bayes_rows`. It
+    matches iff n has exactly as many entries as there are weights, and
+    n(s)*b*n' = d*a*d' at each weight. Proof: every Bayes mass a*d'/(b*n')
+    is positive, so a matching row carries each one exactly, at a nonzero
+    mass; the count then leaves no other nonzero mass, negative or outside
+    S(h) included.
     """
     rows = _bayes_rows(env, lcps)
-    for h in rows:
-        for s, m in mu.get(h, {}).items():
-            _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
-    if mu.keys() != rows.keys():
-        return False
-    for h, (weights, d, n) in rows.items():
-        row = mu[h]
-        if sum(1 for m in row.values() if m) != len(weights):
+    if not isinstance(mu, _BeliefView):
+        for h in rows:
+            for s, m in mu.get(h, {}).items():
+                _require_rational(m, "mu[%r]: non-rational mass at %r", h, s)
+        if mu.keys() != rows.keys():
+            return False
+        mu = {h: _integer_row(mu[h]) for h in rows}
+    for h, (weights, dd, total) in rows.items():
+        d, n = mu[h]
+        if len(n) != len(weights):
             return False
         for s, (a, b) in weights.items():
-            m = row.get(s, ZERO)
-            if m.numerator * b * n != m.denominator * a * d:
+            if n.get(s, 0) * b * total != d * a * dd:
                 return False
     return True
-
-
-def require_valid_beliefs(env: LearningEnvironment, mu: Mapping) -> None:
-    violations = validate_belief_system(env, mu)
-    if violations:
-        raise InputError(f"invalid belief system: {violations[:3]}")
 
 
 def extract_lcps(env: LearningEnvironment, mu: BeliefSystem) -> Lcps:
@@ -182,13 +180,13 @@ def check_complete_consistency(
     Its levels follow the plausibility partition; within a level, masses are
     the certificate potentials (already normalized to sum 1 per level).
     """
-    require_valid_beliefs(env, mu)
-    outcome = check_coherence(build_coherence_graph(env, mu))
+    view = require_valid_beliefs(env, mu)
+    outcome = check_coherence(build_coherence_graph(env, view))
     if isinstance(outcome, CoherenceViolation):
         return ConsistencyResult(consistent=False, violation=outcome)
     levels = outcome.partition.levels
     lcps = Lcps(tuple({s: outcome.potentials[s] for s in members} for members in levels))
-    if not verify_ccbs(env, mu, lcps):
+    if not verify_ccbs(env, view, lcps):
         raise InternalError("extracted LCPS does not reproduce the belief system")
     return ConsistencyResult(consistent=True, lcps=lcps, certificate=outcome)
 
@@ -219,31 +217,19 @@ def check_forward_consistency(
     Only pairs of the last kind can be yielded, so a system without bad
     edges is consistent after one pass costing sum |S(c)| over the edges.
     """
-    require_valid_beliefs(env, mu)
     return next(forward_violations(env, mu), None)
-
-
-def _conditioning(
-    mu: BeliefSystem, h: str, hp: str, shp: tuple[str, ...]
-) -> tuple[Fraction, str | None]:
-    """M = mu(S(h')|h) and the first state s of S(h') with mu(s|h) other than
-    mu(s|h') * M, compared by integer cross-multiplication; None when there
-    is no such state or M = 0, where there is nothing to condition."""
-    row_h, row_hp = mu[h], mu[hp]
-    m = mass_of(row_h, shp)
-    if m:
-        p, q = m.numerator, m.denominator
-        for s in shp:
-            x, y = row_h.get(s, ZERO), row_hp.get(s, ZERO)
-            if x.numerator * y.denominator * q != y.numerator * p * x.denominator:
-                return m, s
-    return m, None
 
 
 def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
     """Each comparable pair (h, h') with mu(S(h')|h) > 0 whose mu(.|h') is not
     mu(.|h) conditioned on S(h'), in canonical order, witnessed by its first
-    mismatching state. Beliefs must be valid; they are not validated here.
+    mismatching state. The beliefs are validated, as `require_valid_beliefs`
+    does, when the first pair is asked for.
+
+    Pairs are compared on the integer view: with rows (d, n) at h and
+    (d', n') at h', M = sum of n(s) over S(h') is mu(S(h')|h) times d, and
+    mu(s|h) = mu(s|h') * mu(S(h')|h) iff n(s)*d' = n'(s)*M. A Fraction is
+    built only for a witness's two sides, n(s)/d and n'(s)*M/(d'*d).
 
     One pass classifies the parent-child edges; only the pairs whose first
     non-ok edge is bad are then visited (see `check_forward_consistency`).
@@ -253,11 +239,25 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
     such (h, c) violates at the edge's first mismatching state (third
     bullet); it is checked explicitly, like the pairs (h, d) below c.
     """
+    view = require_valid_beliefs(env, mu)
     forest, states = env.forest, env.consistent_states
+
+    def conditioning(h: str, hp: str) -> tuple[int, str | None]:
+        """M, and the first state of S(h') where n(s)*d' != n'(s)*M; None
+        when there is none or M = 0, where there is nothing to condition."""
+        (_, n), (dp, np_) = view[h], view[hp]
+        shp = states[hp]
+        m = sum([n.get(s, 0) for s in shp])
+        if m:
+            for s in shp:
+                if n.get(s, 0) * dp != np_.get(s, 0) * m:
+                    return m, s
+        return m, None
+
     ok: set[str] = set()  # children of the ok edges
     bad: set[str] = set()  # children of the bad edges; a zero edge is in neither
     for c, a in forest.parent.items():
-        m, s = _conditioning(mu, a, c, states[c])
+        m, s = conditioning(a, c)
         if m:
             (ok if s is None else bad).add(c)
     found: dict[str, list[str]] = {}  # h -> children c of the bad edges that ok edges join h to
@@ -274,7 +274,11 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
             d = below.pop()
             pairs.append((forest.index[d], d))
             below.extend(forest.children[d])
+        dh, nh = view[h]
         for _, d in sorted(pairs):
-            m, s = _conditioning(mu, h, d, states[d])
+            m, s = conditioning(h, d)
             if s is not None:
-                yield ForwardViolation(h, d, s, mu[h].get(s, ZERO), mu[d].get(s, ZERO) * m)
+                dd, nd = view[d]
+                yield ForwardViolation(
+                    h, d, s, Fraction(nh.get(s, 0), dh), Fraction(nd.get(s, 0) * m, dd * dh)
+                )

@@ -2,6 +2,7 @@
 generalized chain-rule consistency check for uniform-reach environments."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,8 +20,9 @@ from .model import (
     _require_rational,
     is_uniform_reach,
     mass_of,
+    require_valid_beliefs,
 )
-from .consistency import Lcps, require_valid_beliefs, validate_lcps
+from .consistency import Lcps, validate_lcps
 
 # 2^16 - 1 conditioning events: validating the CPS of a two-level LCPS over
 # 16 states takes 0.65-0.7 s and building it with `lcps_to_cps` about 0.8 s
@@ -231,13 +233,28 @@ def check_siniscalchi(
     elif max_len < 2:
         raise InputError("max_len must be at least 2")
     supports = {h: frozenset(env.consistent_states[h]) for h in contingencies}
+    # s -> the contingencies h with s in S(h) that the loop below has not
+    # reached yet, in node order: at a, those sharing a state with a and
+    # after it. So each overlapping pair is found through a state it shares,
+    # at a cost of sum_s |H(s)|^2, not intersected among all pairs.
+    meets: dict[str, deque[str]] = {s: deque() for s in env.states}
+    for h in contingencies:
+        for s in env.consistent_states[h]:
+            meets[s].append(h)
     # a -> [(b, mu(O|b), mu(O|a))] for O = S(a) & S(b) nonempty, b in node order,
     # each mass as its numerator and denominator. Each unordered pair is summed
     # once and listed from both sides; pairs come in node order, so each list
     # stays in node order.
     links: dict[str, list[tuple]] = {a: [] for a in contingencies}
-    for a, b in combinations(contingencies, 2):
-        if o := supports[a] & supports[b]:
+    index = env.forest.index
+    for a in contingencies:
+        later: set[str] = set()
+        for s in env.consistent_states[a]:
+            hs = meets[s]
+            hs.popleft()  # a itself
+            later.update(hs)
+        for b in sorted(later, key=index.__getitem__):
+            o = supports[a] & supports[b]
             to_a, to_b = _mass(mu[a], o), _mass(mu[b], o)
             links[a].append((b, *to_b, *to_a))
             links[b].append((a, *to_a, *to_b))

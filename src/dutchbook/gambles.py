@@ -23,7 +23,6 @@ from .consistency import (
     ForwardViolation,
     check_complete_consistency,
     forward_violations,
-    require_valid_beliefs,
 )
 from .odds import OddsLink
 
@@ -261,7 +260,7 @@ def _deterministic_witness_pair(
 ) -> tuple[str, str, str, str, Fraction, Fraction] | None:
     """Find (h, h', s, s') with both odds finite and x = odds at h strictly
     above y = odds at h', scanning the violating comparable pairs
-    `violations` in order."""
+    `violations` in order. The odds are Fractions for int masses too."""
     for v in violations:
         h, hp = v.h, v.h_prime
         shp = env.consistent_states[hp]
@@ -271,8 +270,8 @@ def _deterministic_witness_pair(
                     continue
                 if mu[hp].get(sp, ZERO) == 0 or mu[h].get(sp, ZERO) == 0:
                     continue
-                x = mu[h].get(s, ZERO) / mu[h][sp]
-                y = mu[hp].get(s, ZERO) / mu[hp][sp]
+                x = Fraction(mu[h].get(s, ZERO), mu[h][sp])
+                y = Fraction(mu[hp].get(s, ZERO), mu[hp][sp])
                 if x > y:
                     return h, hp, s, sp, x, y
     return None
@@ -342,8 +341,7 @@ def deterministic_synthesis(
     """
     if epsilon is not None:
         epsilon = _positive_epsilon(epsilon)
-    require_valid_beliefs(env, mu)
-    violations = forward_violations(env, mu)
+    violations = forward_violations(env, mu)  # validates mu when first read
     first = next(violations, None)
     if first is None:
         raise PreconditionViolation("belief system is forward consistent")

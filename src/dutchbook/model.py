@@ -1,17 +1,19 @@
 """Domain model: states, contingency forests, learning environments, beliefs.
 
-All probability and payoff arithmetic uses `fractions.Fraction`; nothing on
-a verdict path ever touches floating point.
+All probability and payoff arithmetic is exact, on `fractions.Fraction`s or
+on integer numerators over a common denominator; nothing on a verdict path
+ever touches floating point.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, InvalidEnvironment
+from .errors import DomainError, InputError, InvalidEnvironment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -20,6 +22,13 @@ ONE = Fraction(1)
 Distribution = dict[str, Fraction]
 # A belief system maps each contingency to a distribution over states.
 BeliefSystem = dict[str, Distribution]
+
+
+class _BeliefView(dict):
+    """The integer view of a valid belief system, made by
+    `require_valid_beliefs`: h -> (d, n) for each contingency h, in node
+    order, d the lcm of the row's denominators and n = {s: mu(s|h)*d} for
+    each positive mass, in the row's order."""
 
 
 def _exact_sum(values: Iterable[Rational]) -> Fraction:
@@ -36,15 +45,26 @@ def _exact_sum(values: Iterable[Rational]) -> Fraction:
     return Fraction(n, d)
 
 
+def _integer_row(row: Mapping[str, Rational]) -> tuple[int, dict[str, int]]:
+    """(d, n) for a row of rational masses: d the lcm of the denominators and
+    n = {s: row[s]*d} for each nonzero mass, in row order."""
+    d = lcm(*[m.denominator for m in row.values()])
+    return d, {s: x for s, m in row.items() if (x := m.numerator * (d // m.denominator))}
+
+
 def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
     """Total mass the distribution puts on the given keys."""
     return _exact_sum(dist.get(k, ZERO) for k in keys)
 
 
+def _is_rational_type(t: type) -> bool:
+    """True iff the values of type t are Rationals; Fraction passes before
+    the slower check against the ABC."""
+    return t is Fraction or issubclass(t, Rational)
+
+
 def _is_rational(value: object) -> bool:
-    """True for a Rational; a Fraction passes on its type, before the slower
-    check against the ABC."""
-    return type(value) is Fraction or isinstance(value, Rational)
+    return _is_rational_type(type(value))
 
 
 def _require_rational(value: object, message: str, *args: object, error=DomainError) -> None:
@@ -283,3 +303,34 @@ def validate_belief_system(
         if any(outside):
             violations.append((h, f"mass {_exact_sum(outside)} outside S(h)"))
     return violations
+
+
+def require_valid_beliefs(
+    env: LearningEnvironment, mu: Mapping[str, Mapping[str, Fraction]]
+) -> _BeliefView:
+    """Validate mu and return its integer view, reading each row once; on any
+    failure raise InputError with the first three violations that
+    `validate_belief_system` reports, so the messages are that function's.
+
+    A row passes iff validate_belief_system finds nothing in it: its masses
+    are rational (each type is checked once), its integer row (d, n) has
+    sum(n) = d and no negative n, and any keys it has outside S(h) are
+    known states with zero mass. With as many rows as contingencies and
+    none missing, no row is unknown.
+    """
+    view = _BeliefView()
+    rows = [mu.get(h) for h in env.reach] if len(mu) == len(env.reach) else [None]
+    masses = itertools.chain.from_iterable(row.values() for row in rows if row is not None)
+    if None not in rows and all(map(_is_rational_type, set(map(type, masses)))):
+        known = env.state_index.keys()
+        for (h, support), row in zip(env.reach.items(), rows):  # node order
+            d, n = _integer_row(row)
+            if sum(n.values()) != d or min(n.values()) < 0:
+                break
+            keys = row.keys()
+            if not keys <= support.keys() and not (keys <= known and n.keys() <= support.keys()):
+                break
+            view[h] = d, n
+        else:
+            return view
+    raise InputError(f"invalid belief system: {validate_belief_system(env, mu)[:3]}")

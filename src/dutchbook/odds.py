@@ -10,7 +10,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, InternalError,
                      PreconditionViolation)
-from .model import BeliefSystem, LearningEnvironment, ZERO, ONE, _require_rational
+from .model import (BeliefSystem, LearningEnvironment, ZERO, ONE, _BeliefView, _integer_row,
+                    _require_rational)
 
 
 @dataclass(frozen=True)
@@ -199,14 +200,19 @@ def generalized_odds_ratio(
 
 
 def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> CoherenceGraph:
-    """The weight row of every contingency, at a cost of sum |S(h)|; a
-    non-rational or negative mass raises DomainError."""
+    """The weight row of every contingency, at a cost of sum |S(h)|, from mu
+    or from the integer view `require_valid_beliefs` made of it; a
+    non-rational or negative mass of mu raises DomainError. With row h as
+    (d, n), w(s|h) = (n(s)*p.denominator, d*p.numerator) for p = p(h|s)."""
+    if not isinstance(mu, _BeliefView):
+        for h in env.forest.nodes:
+            for s, mass in mu[h].items():
+                _require_mass(mass, h, s)
+        mu = {h: _integer_row(mu[h]) for h in env.forest.nodes}
     rows = {}
-    for h in env.forest.nodes:
-        row = mu[h]
-        for s, mass in row.items():
-            _require_mass(mass, h, s)
-        rows[h] = {s: _weight(row.get(s, ZERO), p) for s, p in env.reach[h].items()}
+    for h, (d, n) in mu.items():
+        rows[h] = {s: (n.get(s, 0) * p.denominator, d * p.numerator)
+                   for s, p in env.reach[h].items()}
     return CoherenceGraph(env.states, rows)
 
 

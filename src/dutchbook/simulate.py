@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .consistency import require_valid_beliefs
 from .errors import DomainError, InputError
 from .model import (
     BeliefSystem,
@@ -19,6 +18,7 @@ from .model import (
     _exact_sum,
     _require_rational,
     check_distribution,
+    require_valid_beliefs,
 )
 from .gambles import (
     GambleSystem,

@@ -630,3 +630,45 @@ class TestParserReuse:
         assert main(argv) == code
         capsys.readouterr()
         assert len(calls) == 1
+
+
+class TestOneValidationPerRequest:
+    @pytest.mark.parametrize("argv, views", [
+        (["validate", "--env", "larry.json", "--beliefs", "regret.json"], 0),
+        (["check-forward", "--env", "nested.json", "--beliefs", "drift.json"], 1),
+        (["check-complete", "--env", "larry.json", "--beliefs", "lex.json"], 1),
+        (["extract-lcps", "--env", "larry.json", "--beliefs", "uniform.json"], 1),
+        (["check-siniscalchi", "--env", "larry.json", "--beliefs", "regret.json"], 1),
+        (["verify-book", "--env", "larry.json", "--book", "larry-book.json",
+          "--beliefs", "regret.json"], 1),
+        (["verify-deterministic", "--env", "nested.json", "--book", "ddb-nested.json",
+          "--beliefs", "drift.json"], 1),
+        (["synth-book", "--env", "larry.json", "--beliefs", "regret.json"], 1),
+        (["synth-deterministic", "--env", "nested.json", "--beliefs", "drift.json"], 1),
+        (["simulate", "--env", "larry.json", "--beliefs", "regret.json",
+          "--book", "larry-book.json", "--rounds", "10", "--seed", "1"], 1),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_beliefs_document_is_validated_once(self, capsys, monkeypatch, argv, views):
+        # Every command that reads a beliefs document builds its integer view
+        # once (`validate` lists the problems instead); no command validates
+        # through validate_belief_system as well.
+        from dutchbook import consistency, cps, model, simulate
+
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("require_valid_beliefs", "validate_belief_system"):
+            original = getattr(model, name)
+            for module in (model, consistency, cps, gambles, simulate, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert calls.count("require_valid_beliefs") == views
+        assert len(calls) == 1

@@ -466,3 +466,37 @@ class TestEdgeCriterionMatchesAllPairs:
         started = time.perf_counter()
         assert check_forward_consistency(env, mu) is None
         assert time.perf_counter() - started < 10.0
+
+
+def bad_leaf_caterpillar(depth):
+    """The spine c0 -> ... -> c(depth-1) with a leaf l_i off each c_i, two
+    states per leaf, and beliefs that condition one prior along the spine
+    (every spine edge ok) but reverse its 1:2 odds at every leaf (every leaf
+    edge bad): each leaf violates against all its ancestors, which makes
+    depth*(depth+1)/2 - 1 violations below long ok chains."""
+    nodes, parent = ["c0"], {}
+    for i in range(1, depth):
+        nodes += [f"c{i}", f"l{i - 1}"]
+        parent[f"c{i}"] = parent[f"l{i - 1}"] = f"c{i - 1}"
+    forest = ContingencyForest(nodes, parent)
+    states = [f"{leaf}.{k}" for leaf in forest.leaves for k in (0, 1)]
+    env = build_environment(states, forest, {s: {s.split(".")[0]: F(1)} for s in states})
+    prior = {s: F(1 + int(s[-1]), 3 * len(forest.leaves)) for s in states}
+    mu = {}
+    for h in forest.nodes:
+        sh = env.consistent_states[h]
+        total = mass_of(prior, sh)
+        mu[h] = {s: prior[s] / total for s in sh}
+    for leaf in forest.leaves:
+        mu[leaf] = {f"{leaf}.0": F(2, 3), f"{leaf}.1": F(1, 3)}
+    return env, mu
+
+
+class TestBadLeavesBelowOkChains:
+    def test_drained_walk_matches_all_pairs(self):
+        env, mu = bad_leaf_caterpillar(60)
+        got = list(forward_violations(env, mu))
+        assert got == list(reference_forward_violations(env, mu))
+        # l_i has i + 1 ancestors (i < 59) and the last spine node c59 has 59.
+        assert len(got) == 60 * 61 // 2 - 1
+        assert {v.s for v in got} == {f"{v.h_prime}.0" for v in got}

@@ -482,6 +482,16 @@ class TestScale:
         assert check_siniscalchi(env, mu) is None
         assert time.perf_counter() - started < 0.1
 
+    def test_cyclic_windows_of_two_thousand(self):
+        # 2000 contingencies: intersecting every pair of supports alone
+        # costs about 2 million set intersections; each contingency meets
+        # only four others through the states of its window.
+        env = cyclic_window_environment(2000)
+        mu = derive_beliefs(env, Lcps(({s: Fraction(1, 2000) for s in env.states},)))
+        started = time.perf_counter()
+        assert check_siniscalchi(env, mu) is None
+        assert time.perf_counter() - started < 0.2
+
     def test_fourteen_state_two_level_cps(self):
         states = tuple(f"s{i}" for i in range(14))
         lcps = Lcps(
