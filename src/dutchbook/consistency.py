@@ -223,8 +223,8 @@ def check_forward_consistency(
 def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
     """Each comparable pair (h, h') with mu(S(h')|h) > 0 whose mu(.|h') is not
     mu(.|h) conditioned on S(h'), in canonical order, witnessed by its first
-    mismatching state. The beliefs are validated, as `require_valid_beliefs`
-    does, when the first pair is asked for.
+    mismatching state. The beliefs are validated by `require_valid_beliefs`,
+    the one validation pass, when the first pair is asked for.
 
     Pairs are compared on the integer view: with rows (d, n) at h and
     (d', n') at h', M = sum of n(s) over S(h') is mu(S(h')|h) times d, and

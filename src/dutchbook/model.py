@@ -6,7 +6,6 @@ ever touches floating point.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -25,10 +24,10 @@ BeliefSystem = dict[str, Distribution]
 
 
 class _BeliefView(dict):
-    """The integer view of a valid belief system, made by
-    `require_valid_beliefs`: h -> (d, n) for each contingency h, in node
-    order, d the lcm of the row's denominators and n = {s: mu(s|h)*d} for
-    each positive mass, in the row's order."""
+    """The integer view of a valid belief system, made by the validation pass
+    `_belief_rows` and returned by `require_valid_beliefs`: h -> (d, n) for
+    each contingency h, in node order, d the lcm of the row's denominators
+    and n = {s: mu(s|h)*d} for each positive mass, in the row's order."""
 
 
 def _exact_sum(values: Iterable[Rational]) -> Fraction:
@@ -63,15 +62,11 @@ def _is_rational_type(t: type) -> bool:
     return t is Fraction or issubclass(t, Rational)
 
 
-def _is_rational(value: object) -> bool:
-    return _is_rational_type(type(value))
-
-
 def _require_rational(value: object, message: str, *args: object, error=DomainError) -> None:
     """Raise error(message % args) unless value is a Rational: a float would
     make exact comparisons pass or fail by rounding. The message is only
     formatted on failure."""
-    if not _is_rational(value):
+    if not _is_rational_type(type(value)):
         raise error(message % args)
 
 
@@ -272,65 +267,63 @@ def has_deterministic_continuation(env: LearningEnvironment) -> bool:
     )
 
 
+def _belief_rows(
+    env: LearningEnvironment, mu: Mapping[str, Mapping[str, Fraction]]
+) -> tuple[_BeliefView, list[tuple[str, str]]]:
+    """The one validation of a belief system: its integer view and its
+    (contingency, reason) violations. Unknown contingencies come first; then
+    each row, in node order, gets the first rule it breaks (undefined belief,
+    unknown states, non-rational mass, negative mass, a sum other than 1,
+    positive mass outside S(h)), or else its integer row (d, n) in the view.
+
+    Mass types are checked once over all rows, and row by row only when that
+    check fails; each row is turned into integers once, and its sums and
+    signs are read from those integers."""
+    rows = [mu.get(h) for h in env.reach]
+    problems: list[tuple[str, str]] = []
+    if len(mu) != len(rows) - rows.count(None):  # some key of mu is no contingency
+        problems = [(h, "unknown contingency") for h in mu if h not in env.reach]
+    rational = all(map(_is_rational_type, {type(m) for row in rows if row for m in row.values()}))
+    known = env.state_index.keys()
+    view = _BeliefView()
+    for (h, support), row in zip(env.reach.items(), rows):  # node order
+        if row is None:
+            problems.append((h, "undefined belief"))
+            continue
+        inside = row.keys() <= support.keys()
+        if not inside and (bad := [s for s in row if s not in known]):
+            problems.append((h, f"unknown states {bad}"))
+            continue
+        if not rational and not all(_is_rational_type(type(m)) for m in row.values()):
+            problems.append((h, "non-rational mass"))
+            continue
+        d, n = _integer_row(row)
+        total = sum(n.values())
+        if total != d or min(n.values()) < 0:
+            negative = any(x < 0 for x in n.values())
+            problems.append((h, "negative mass" if negative
+                             else f"masses sum to {Fraction(total, d)}, not 1"))
+            continue
+        if not inside and (out := sum(x for s, x in n.items() if s not in support)):
+            problems.append((h, f"mass {Fraction(out, d)} outside S(h)"))
+            continue
+        view[h] = d, n
+    return view, problems
+
+
 def validate_belief_system(
     env: LearningEnvironment, mu: Mapping[str, Mapping[str, Fraction]]
 ) -> list[tuple[str, str]]:
     """Return a list of (contingency, reason) violations; empty means valid."""
-    violations: list[tuple[str, str]] = []
-    for h in mu:
-        if h not in env.forest.index:
-            violations.append((h, "unknown contingency"))
-    for h in env.forest.nodes:
-        if h not in mu:
-            violations.append((h, "undefined belief"))
-            continue
-        row = mu[h]
-        bad = [s for s in row if s not in env.state_index]
-        if bad:
-            violations.append((h, f"unknown states {bad}"))
-            continue
-        if not all(map(_is_rational, row.values())):
-            violations.append((h, "non-rational mass"))
-            continue
-        if any(m.numerator < 0 for m in row.values()):
-            violations.append((h, "negative mass"))
-            continue
-        total = _exact_sum(row.values())
-        if total != ONE:
-            violations.append((h, f"masses sum to {total}, not 1"))
-            continue
-        outside = [row[s] for s in row.keys() - env.reach[h].keys()]
-        if any(outside):
-            violations.append((h, f"mass {_exact_sum(outside)} outside S(h)"))
-    return violations
+    return _belief_rows(env, mu)[1]
 
 
 def require_valid_beliefs(
     env: LearningEnvironment, mu: Mapping[str, Mapping[str, Fraction]]
 ) -> _BeliefView:
-    """Validate mu and return its integer view, reading each row once; on any
-    failure raise InputError with the first three violations that
-    `validate_belief_system` reports, so the messages are that function's.
-
-    A row passes iff validate_belief_system finds nothing in it: its masses
-    are rational (each type is checked once), its integer row (d, n) has
-    sum(n) = d and no negative n, and any keys it has outside S(h) are
-    known states with zero mass. With as many rows as contingencies and
-    none missing, no row is unknown.
-    """
-    view = _BeliefView()
-    rows = [mu.get(h) for h in env.reach] if len(mu) == len(env.reach) else [None]
-    masses = itertools.chain.from_iterable(row.values() for row in rows if row is not None)
-    if None not in rows and all(map(_is_rational_type, set(map(type, masses)))):
-        known = env.state_index.keys()
-        for (h, support), row in zip(env.reach.items(), rows):  # node order
-            d, n = _integer_row(row)
-            if sum(n.values()) != d or min(n.values()) < 0:
-                break
-            keys = row.keys()
-            if not keys <= support.keys() and not (keys <= known and n.keys() <= support.keys()):
-                break
-            view[h] = d, n
-        else:
-            return view
-    raise InputError(f"invalid belief system: {validate_belief_system(env, mu)[:3]}")
+    """Validate mu and return its integer view; on any failure raise
+    InputError with the first three violations."""
+    view, problems = _belief_rows(env, mu)
+    if problems:
+        raise InputError(f"invalid belief system: {problems[:3]}")
+    return view

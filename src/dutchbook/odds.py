@@ -365,19 +365,22 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     # Zero edges: inside a finite component they witness a violation;
     # across components they must form a DAG on the condensation. All of
     # positive[h] is one component, so the least zero edge from s at h,
-    # the one into the head of positive[h], decides both.
+    # the one into the head of positive[h], decides both. Edges are sorted
+    # as plain tuples; a link is built only for a violating edge and for
+    # the first edge between two components.
     zero = ExtendedRatio.zero()
     zero_edges = sorted(
-        (order[s], order[pos[0]], h, OddsLink(h, s, pos[0], zero))
+        (order[s], order[pos[0]], h, s, pos[0])
         for h, pos in positive.items() if pos
         for s, w in rows[h].items() if not w[0]
     )
     cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
-    for *_, e in zero_edges:
-        ca, cb = component[e.src], component[e.dst]
+    for *_, h, s, head in zero_edges:
+        ca, cb = component[s], component[head]
         if ca == cb:
-            return _make_violation([e] + tree_path(e.dst, e.src))
-        cond[ca].setdefault(cb, e)
+            return _make_violation([OddsLink(h, s, head, zero)] + tree_path(head, s))
+        if cb not in cond[ca]:
+            cond[ca][cb] = OddsLink(h, s, head, zero)
 
     cyc, comp_levels = _condensation_walk(cond)
     if cyc is not None:

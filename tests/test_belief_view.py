@@ -3,6 +3,7 @@ integer view that every verdict path reads."""
 import random
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 import pytest
 
@@ -63,6 +64,81 @@ def reference_view(env, mu):
         d = lcm(*(F(m).denominator for m in row.values()))
         view[h] = d, {s: int(m * d) for s, m in row.items() if m > 0}
     return view
+
+
+def reference_validate_belief_system(env, mu):
+    """An independent oracle for the violations and their order: each rule
+    checked on the masses themselves, with Fraction sums. The library's
+    `validate_belief_system` and `require_valid_beliefs` read one pass, so
+    comparing them with each other checks nothing; both are compared with
+    this copy instead."""
+    violations = []
+    for h in mu:
+        if h not in env.forest.index:
+            violations.append((h, "unknown contingency"))
+    for h in env.forest.nodes:
+        if h not in mu:
+            violations.append((h, "undefined belief"))
+            continue
+        row = mu[h]
+        bad = [s for s in row if s not in env.state_index]
+        if bad:
+            violations.append((h, f"unknown states {bad}"))
+            continue
+        if not all(isinstance(m, Rational) for m in row.values()):
+            violations.append((h, "non-rational mass"))
+            continue
+        if any(m.numerator < 0 for m in row.values()):
+            violations.append((h, "negative mass"))
+            continue
+        total = sum(row.values(), F(0))
+        if total != 1:
+            violations.append((h, f"masses sum to {total}, not 1"))
+            continue
+        outside = [row[s] for s in row.keys() - env.reach[h].keys()]
+        if any(outside):
+            violations.append((h, f"mass {sum(outside, F(0))} outside S(h)"))
+    return violations
+
+
+def seeded_mutations(seed, count):
+    """(env, mu) pairs: valid beliefs, then up to two random breakages."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        env = random_environment(rng, max_states=5, max_nodes=8)
+        mu = derive_beliefs(env, random_lcps(rng, env.states))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            h = rng.choice([h for h in env.forest.nodes if h in mu] or ["zz"])
+            kind = rng.randrange(6) if h in mu else 0
+            if kind == 0:
+                mu[h] = weights(rng, env.states)  # may reach outside S(h)
+            elif kind == 1:
+                mu[h] = {s: m * rng.choice((1, 2, F(1, 2))) for s, m in mu[h].items()}
+            elif kind == 2:
+                mu[h][rng.choice(env.states)] = F(0)
+            elif kind == 3:
+                mu[h] = {s: -m if rng.random() < 0.3 else m for s, m in mu[h].items()}
+            elif kind == 4:
+                mu[rng.choice((h, "zz"))] = mu.pop(h)
+            else:
+                mu[h] = {s: int(m) if m in (0, 1) else m for s, m in mu[h].items()}
+        yield env, mu
+
+
+# Breakages of Larry's uniform beliefs that stack several faults: in one
+# row, across rows, and more rows than the InputError message carries.
+COMBINED = {
+    "unknown state and negative mass": lambda mu: mu.update(
+        sm={"sq": F(-1, 2), "ma": F(3, 2), "xx": F(0)}),
+    "unknown contingency and missing row": lambda mu: mu.update(zz=mu.pop("sm")),
+    "five broken rows": lambda mu: mu.update(
+        sq={"sq": F(1, 2)},
+        ma={"ma": F(1), "yy": F(0)},
+        pa={"pa": 0.5, "sq": 0.5},
+        sm={"sq": F(-1), "ma": F(2)},
+        ps={"sq": F(1, 2), "pa": F(1, 4), "ma": F(1, 4)},
+    ),
+}
 
 
 def int_twin(mu):
@@ -178,3 +254,48 @@ class TestIntegerMasses:
                 seen["siniscalchi"] += 1
                 assert repr(check_siniscalchi(env, twin)) == repr(check_siniscalchi(env, mu))
         assert min(seen.values()) >= 20, seen
+
+
+class TestValidationMatchesReference:
+    def assert_matches_reference(self, env, mu):
+        problems = reference_validate_belief_system(env, mu)
+        assert validate_belief_system(env, mu) == problems
+        if problems:
+            with pytest.raises(InputError) as caught:
+                require_valid_beliefs(env, mu)
+            assert str(caught.value) == f"invalid belief system: {problems[:3]}"
+        else:
+            assert require_valid_beliefs(env, mu) == reference_view(env, mu)
+        return problems
+
+    def test_seeded_mutations(self):
+        seen = {"valid": 0, "invalid": 0}
+        for env, mu in seeded_mutations(0xB1E, 600):
+            seen["invalid" if self.assert_matches_reference(env, mu) else "valid"] += 1
+        assert min(seen.values()) >= 150, seen
+
+    @pytest.mark.parametrize("case", [*INVALID, *COMBINED], ids=[*INVALID, *COMBINED])
+    def test_larry_breakages(self, case):
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        {**INVALID, **COMBINED}[case](mu)
+        assert self.assert_matches_reference(env, mu)
+
+    def test_combined_breakages_report_every_fault(self):
+        env = fx.larry_environment()
+        reasons = {}
+        for case, breakage in COMBINED.items():
+            mu = fx.uniform_beliefs()
+            breakage(mu)
+            reasons[case] = validate_belief_system(env, mu)
+        assert reasons == {
+            "unknown state and negative mass": [("sm", "unknown states ['xx']")],
+            "unknown contingency and missing row": [
+                ("zz", "unknown contingency"), ("sm", "undefined belief")],
+            "five broken rows": [
+                ("sq", "masses sum to 1/2, not 1"),
+                ("ma", "unknown states ['yy']"),
+                ("pa", "non-rational mass"),
+                ("sm", "negative mass"),
+                ("ps", "mass 1/4 outside S(h)"),
+            ],
+        }

@@ -127,6 +127,23 @@ class TestVerdictCommands:
         )
         assert code == 1 and payload["ok"] is False
 
+    def test_validate_lists_every_belief_problem_in_order(self, capsys):
+        # Unknown contingencies first, then one reason per broken row in
+        # node order; the valid row "ma" is not listed.
+        code, payload = run(
+            capsys, "validate",
+            "--env", DATA / "larry.json", "--beliefs", DATA / "broken-beliefs.json",
+        )
+        assert code == 1 and payload["ok"] is False
+        assert payload["problems"] == [
+            {"contingency": "zz", "reason": "unknown contingency"},
+            {"contingency": "sq", "reason": "unknown states ['xx']"},
+            {"contingency": "pa", "reason": "undefined belief"},
+            {"contingency": "sm", "reason": "negative mass"},
+            {"contingency": "mp", "reason": "masses sum to 3/4, not 1"},
+            {"contingency": "ps", "reason": "mass 1/4 outside S(h)"},
+        ]
+
 
 class TestConversionCommands:
     def test_round_trip_is_file_level_fixed_point(self, capsys, tmp_path):
