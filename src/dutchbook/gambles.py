@@ -122,22 +122,27 @@ def classify_dutch_book(env: LearningEnvironment, g: GambleSystem) -> BookVerdic
 def classify_deterministic(env: LearningEnvironment, g: GambleSystem) -> DeterministicVerdict:
     """Realized cumulative payoff along every consistent path of every state."""
     _check_supports(env, g)
-    pays: dict[str, dict[str, Fraction]] = {s: {} for s in env.states}  # s -> h -> payoff != 0
-    for h, gamble in g.items():
-        for s, x in gamble.items():
-            if x:
-                pays[s][h] = x
-    per_path: dict[str, dict[str, Fraction]] = {}
-    flat: list[Fraction] = []
-    for s in env.states:
-        per_path[s] = {}
-        paid = pays[s]
-        for leaf in env.eta[s]:
-            total = _exact_sum(paid[h] for h in env.forest.path(leaf) if h in paid)
-            per_path[s][leaf] = total
-            flat.append(total)
+    per_path = _path_payoffs(env, g, env.states)
+    flat = [v for row in per_path.values() for v in row.values()]
     verdict = all(v <= 0 for v in flat) and any(v < 0 for v in flat)
     return DeterministicVerdict(per_path, verdict)
+
+
+def _path_payoffs(
+    env: LearningEnvironment, g: GambleSystem, states: Iterable[str]
+) -> dict[str, dict[str, Fraction]]:
+    """s -> leaf -> the realized cumulative payoff of g along each consistent
+    path of s, for each of `states`; g must pass `_check_supports`."""
+    pays: dict[str, dict[str, Fraction]] = {s: {} for s in states}  # s -> h -> payoff != 0
+    for h, gamble in g.items():
+        for s, x in gamble.items():
+            if x and s in pays:
+                pays[s][h] = x
+    path = env.forest.path
+    return {
+        s: {leaf: _exact_sum(paid[h] for h in path(leaf) if h in paid) for leaf in env.eta[s]}
+        for s, paid in pays.items()
+    }
 
 
 def _orient_cycle(cycle: tuple[OddsLink, ...], product) -> tuple[OddsLink, ...]:

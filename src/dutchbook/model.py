@@ -70,15 +70,18 @@ def _require_rational(value: object, message: str, *args: object, error=DomainEr
         raise error(message % args)
 
 
-def check_distribution(dist: Mapping[str, Fraction], what: str) -> None:
+def check_distribution(dist: Mapping[str, Fraction], what: str) -> tuple[int, dict[str, int]]:
     """Raise InvalidEnvironment unless the rational masses are non-negative
-    and sum to 1."""
-    for key, mass in dist.items():
-        if mass.numerator < 0:
-            raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
-    total = _exact_sum(dist.values())
-    if total != ONE:
-        raise InvalidEnvironment(f"{what}: masses sum to {total}, not 1")
+    and sum to 1; return their integer row (d, n) from `_integer_row`, whose
+    n holds the positive masses in row order."""
+    d, n = _integer_row(dist)
+    if min(n.values(), default=0) < 0:
+        key = next(k for k, x in n.items() if x < 0)
+        raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
+    total = sum(n.values())
+    if total != d:
+        raise InvalidEnvironment(f"{what}: masses sum to {Fraction(total, d)}, not 1")
+    return d, n
 
 
 class ContingencyForest:
@@ -189,6 +192,13 @@ class LearningEnvironment:
             raise DomainError(f"unknown state {s!r}")
 
 
+def _eta_mass(value: object, s: str, k: str) -> Fraction:
+    """An eta mass given as a Rational other than a Fraction, as a Fraction;
+    InvalidEnvironment for any other value."""
+    _require_rational(value, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment)
+    return Fraction(value)
+
+
 def build_environment(
     states: Sequence[str],
     forest: ContingencyForest,
@@ -210,27 +220,22 @@ def build_environment(
         raise InvalidEnvironment(f"eta rows for unknown states {unknown}")
 
     leaf_rank = {l: forest.index[l] for l in forest.leaves}
+    parent = forest.parent
     eta_table: dict[str, Distribution] = {}
     # States are walked in order, so every reach row comes out in state order.
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
-        row = {}
-        for k, v in eta[s].items():
-            if type(v) is not Fraction:
-                _require_rational(
-                    v, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment
-                )
-                v = Fraction(v)
-            row[k] = v
-        bad = [k for k in row if k not in leaf_rank]
-        if bad:
+        row = {k: v if type(v) is Fraction else _eta_mass(v, s, k) for k, v in eta[s].items()}
+        if not row.keys() <= leaf_rank.keys():
+            bad = [k for k in row if k not in leaf_rank]
             raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
-        check_distribution(row, f"eta[{s!r}]")
-        eta_table[s] = {l: row[l] for l in sorted(row, key=leaf_rank.get) if row[l].numerator}
-        for leaf, mass in eta_table[s].items():
-            for h in forest.path(leaf):
+        _, n = check_distribution(row, f"eta[{s!r}]")
+        eta_table[s] = positive = {l: row[l] for l in sorted(n, key=leaf_rank.__getitem__)}
+        for h, mass in positive.items():
+            while h is not None:  # the leaf, then its ancestors
                 row_h = reach[h]
                 row_h[s] = row_h[s] + mass if s in row_h else mass
+                h = parent.get(h)
 
     for h in forest.nodes:
         if not reach[h]:

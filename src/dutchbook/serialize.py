@@ -10,8 +10,10 @@ Readers reject unknown keys.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .errors import InputError
@@ -63,28 +65,44 @@ def _row_to_doc(row: Mapping[str, Fraction], order: Mapping[str, int]) -> dict[s
     return {k: format_rational(row[k]) for k in keys if row[k] != 0}
 
 
-def _rational_row(doc: Any, where: str, memo: dict[str, Fraction]) -> dict[str, Fraction]:
-    """A row of rationals. `memo` holds the value of each string already read
-    in this document, so each distinct string is parsed once; any other
-    value goes to `parse_rational`, which rejects it."""
+class _Memo(dict):
+    """The rationals already read from one document, keyed by their string:
+    a missing string is parsed on its first lookup and kept; any other value
+    goes to `parse_rational`, which rejects it. A value that fails is named
+    in the error by `_rational_row`, not here."""
+
+    def __missing__(self, text: Any) -> Fraction:
+        value = self[text] = parse_rational(text, "value")
+        return value
+
+
+def _rational_row(doc: Any, memo: _Memo, where: str, key: str | None = None) -> dict[str, Fraction]:
+    """A row of rationals, each read through the document's `memo`, so each
+    distinct string is parsed once, in order of first occurrence. The row is
+    named `where`, or `where[key]` when a key is given; the name is written
+    only into an error."""
+    if isinstance(doc, dict):
+        try:
+            return {k: memo[v] for k, v in doc.items()}
+        except (InputError, TypeError):  # a bad value, or an unhashable one
+            pass
+    where = where if key is None else f"{where}[{key!r}]"
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object of rationals")
-    row = {}
-    for k, v in doc.items():
-        if type(v) is str:
-            x = memo.get(v)
-            if x is None:
-                x = memo[v] = parse_rational(v, f"{where}[{k!r}]")
-            row[k] = x
-        else:
-            row[k] = parse_rational(v, f"{where}[{k!r}]")
-    return row
+    # Every value before the first bad one is in memo: read again, the first
+    # bad value raises with its own name.
+    return {k: memo[v] if isinstance(v, str) and v in memo else parse_rational(v, f"{where}[{k!r}]")
+            for k, v in doc.items()}
 
 
 # ---------------------------------------------------------------- environment
 
+_ENV_KEYS = {"states", "contingencies", "eta"}
+_ENTRY_KEYS = {"id", "parent"}
+
+
 def environment_from_doc(doc: Any) -> LearningEnvironment:
-    _require_keys(doc, {"states", "contingencies", "eta"}, {"states", "contingencies", "eta"}, "environment")
+    _require_keys(doc, _ENV_KEYS, _ENV_KEYS, "environment")
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise InputError("environment.states: expected a list of strings")
@@ -93,20 +111,20 @@ def environment_from_doc(doc: Any) -> LearningEnvironment:
         raise InputError("environment.contingencies: expected a list")
     nodes, parent = [], {}
     for entry in entries:
-        _require_keys(entry, {"id", "parent"}, {"id", "parent"}, "contingency entry")
-        if not isinstance(entry["id"], str):
-            raise InputError(f"contingency id: expected a string, got {entry['id']!r}")
-        if not isinstance(entry["parent"], (str, type(None))):
-            raise InputError(
-                f"contingency parent: expected a string or null, got {entry['parent']!r}"
-            )
-        nodes.append(entry["id"])
-        if entry["parent"] is not None:
-            parent[entry["id"]] = entry["parent"]
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+            _require_keys(entry, _ENTRY_KEYS, _ENTRY_KEYS, "contingency entry")
+        h, p = entry["id"], entry["parent"]
+        if not isinstance(h, str):
+            raise InputError(f"contingency id: expected a string, got {h!r}")
+        nodes.append(h)
+        if p is not None:
+            if not isinstance(p, str):
+                raise InputError(f"contingency parent: expected a string or null, got {p!r}")
+            parent[h] = p
     if not isinstance(doc["eta"], dict):
         raise InputError("environment.eta: expected an object")
-    memo: dict[str, Fraction] = {}
-    eta = {s: _rational_row(row, f"eta[{s!r}]", memo) for s, row in doc["eta"].items()}
+    memo = _Memo()
+    eta = {s: _rational_row(row, memo, "eta", s) for s, row in doc["eta"].items()}
     return build_environment(states, ContingencyForest(nodes, parent), eta)
 
 
@@ -131,8 +149,8 @@ def _table_from_doc(doc: Any, outer: str) -> dict[str, dict[str, Fraction]]:
     table = doc[outer]
     if not isinstance(table, dict):
         raise InputError(f"{outer}: expected an object")
-    memo: dict[str, Fraction] = {}
-    return {k: _rational_row(row, f"{outer}[{k!r}]", memo) for k, row in table.items()}
+    memo = _Memo()
+    return {k: _rational_row(row, memo, outer, k) for k, row in table.items()}
 
 
 def beliefs_from_doc(doc: Any) -> BeliefSystem:
@@ -159,8 +177,8 @@ def lcps_from_doc(doc: Any) -> Lcps:
     levels = doc["levels"]
     if not isinstance(levels, list) or not levels:
         raise InputError("lcps.levels: expected a nonempty list")
-    memo: dict[str, Fraction] = {}
-    return Lcps(tuple(_rational_row(level, "lcps level", memo) for level in levels))
+    memo = _Memo()
+    return Lcps(tuple(_rational_row(level, memo, "lcps level") for level in levels))
 
 
 def lcps_to_doc(lcps: Lcps, states: tuple[str, ...]) -> dict:
@@ -174,7 +192,7 @@ def cps_from_doc(doc: Any) -> CompleteCps:
     if not isinstance(table, dict) or not table:
         raise InputError("cps.conditionals: expected a nonempty object")
     states = tuple(max(table, key=lambda k: len(k.split(","))).split(","))
-    conditionals, memo = {}, {}
+    conditionals, memo = {}, _Memo()
     for key, row in table.items():
         subset = key.split(",")
         event = frozenset(subset)
@@ -184,7 +202,7 @@ def cps_from_doc(doc: Any) -> CompleteCps:
             raise InputError(f"cps key {key!r} names an event already given")
         if not event.issubset(states):
             raise InputError(f"cps key {key!r} has states outside {states}")
-        conditionals[event] = _rational_row(row, f"cps[{key!r}]", memo)
+        conditionals[event] = _rational_row(row, memo, "cps", key)
     expected = (1 << len(states)) - 1
     if len(conditionals) != expected:
         raise InputError(
@@ -322,7 +340,42 @@ def sim_report_to_doc(report: SimReport, states: tuple[str, ...]) -> dict:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """`payload` as `json.dumps(payload, indent=2, allow_nan=False) + "\\n"`,
+    byte for byte, for payloads of dict, list, str, int, float, bool and None
+    with string keys. `json.dumps` with an indent always runs the pure-Python
+    encoder, since the C encoder does not indent; this writer does less work
+    per value. A non-finite float raises ValueError, as `json` does."""
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: Any, indent: str) -> str:
+    """One JSON value; `indent` is the line break and indentation of the line
+    the value starts on, and items of a container go one level deeper."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def load_file(path: str) -> Any:

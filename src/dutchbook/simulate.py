@@ -22,7 +22,7 @@ from .model import (
 )
 from .gambles import (
     GambleSystem,
-    classify_deterministic,
+    _path_payoffs,
     classify_dutch_book,
     is_willing_to_accept,
 )
@@ -116,8 +116,6 @@ def run_rounds(
     exact_ungated = classify_dutch_book(env, g).per_state
     gated = {h: gamble for h, gamble in g.items() if is_willing_to_accept(mu[h], gamble)}
     exact_gated = classify_dutch_book(env, gated).per_state
-    # The gated payoff along a path depends only on (state, leaf).
-    payoff = classify_deterministic(env, gated).per_path
 
     if isinstance(cfg.mode, FixedState):
         env.require_state(cfg.mode.state)
@@ -132,6 +130,8 @@ def run_rounds(
             env.require_state(s)
         state_bounds, tracked = _thresholds((s, prior.get(s, ZERO)) for s in env.states)
 
+    # The gated payoff along a path depends only on (state, leaf).
+    payoff = _path_payoffs(env, gated, tracked)
     # eta rows are in forest order, so paths are drawn in forest order. Per
     # tracked state: leaf thresholds, per-leaf hit counts, and float squares.
     leaves: dict[str, list[str]] = {}
