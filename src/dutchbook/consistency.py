@@ -14,10 +14,10 @@ from .model import (
     BeliefSystem,
     Distribution,
     LearningEnvironment,
-    ONE,
     _BeliefView,
-    _exact_sum,
+    _fraction,
     _integer_row,
+    _pair,
     _require_rational,
     require_valid_beliefs,
 )
@@ -29,6 +29,21 @@ from .odds import (
 )
 
 
+class _LevelRows(dict):
+    """The `_integer_row` of each level of one LCPS, keyed by level index: a
+    level's row is built on its first lookup and kept, so `validate_lcps`,
+    which looks a level up only once its masses are known to be rational,
+    and `Lcps._view` build each level's integers once between them."""
+
+    def __init__(self, levels: tuple[Distribution, ...]):
+        super().__init__()
+        self.levels = levels
+
+    def __missing__(self, k: int) -> tuple[int, dict[str, int]]:
+        row = self[k] = _integer_row(self.levels[k])
+        return row
+
+
 @dataclass(frozen=True)
 class Lcps:
     """Ordered mutually-singular probability measures covering all states."""
@@ -36,15 +51,20 @@ class Lcps:
     levels: tuple[Distribution, ...]
 
     @cached_property
+    def _rows(self) -> _LevelRows:
+        return _LevelRows(self.levels)
+
+    @cached_property
     def _view(self) -> dict[str, tuple[int, int]]:
         """Each state's first level k with positive mass, and that mass as an
-        integer numerator over the lcm of level k's denominators."""
+        integer numerator over the lcm of level k's denominators, read from
+        the level's integer row."""
         view: dict[str, tuple[int, int]] = {}
-        for k, level in enumerate(self.levels):
-            d = lcm(*(m.denominator for m in level.values()))
-            for s, m in level.items():
-                if m > 0:
-                    view.setdefault(s, (k, m.numerator * (d // m.denominator)))
+        rows = self._rows
+        for k in range(len(self.levels)):
+            for s, x in rows[k][1].items():
+                if x > 0:
+                    view.setdefault(s, (k, x))
         return view
 
     def level_for(self, states: tuple[str, ...] | frozenset[str]) -> int:
@@ -58,9 +78,14 @@ class Lcps:
 
 
 def validate_lcps(lcps: Lcps, states: tuple[str, ...]) -> None:
+    """Raise InputError unless the LCPS is valid on the states: every level
+    a distribution on known states, checked on its `_integer_row` (d, n) as
+    no negative numerator and numerators summing to d, and every state
+    positive at exactly one level."""
     if not lcps.levels:
         raise InputError("LCPS has no levels")
     known = set(states)
+    positive: Counter[str] = Counter()
     for m, level in enumerate(lcps.levels):
         bad = [s for s in level if s not in known]
         if bad:
@@ -69,11 +94,12 @@ def validate_lcps(lcps: Lcps, states: tuple[str, ...]) -> None:
             _require_rational(
                 mass, "LCPS level %d: non-rational mass at %r", m, s, error=InputError
             )
-        if any(mass.numerator < 0 for mass in level.values()):
+        d, n = lcps._rows[m]
+        if min(n.values(), default=0) < 0:
             raise InputError(f"LCPS level {m} has negative mass")
-        if _exact_sum(level.values()) != ONE:
+        if sum(n.values()) != d:
             raise InputError(f"LCPS level {m} does not sum to 1")
-    positive = Counter(s for level in lcps.levels for s, mass in level.items() if mass > 0)
+        positive.update(n.keys())  # every nonzero numerator is positive here
     for s in states:
         hits = positive[s]
         if hits != 1:
@@ -103,21 +129,22 @@ def _bayes_rows(
     env: LearningEnvironment, lcps: Lcps
 ) -> dict[str, tuple[dict[str, tuple[int, int]], int, int]]:
     """Bayes rule at every contingency h, in node order, from the first
-    level l explaining it, in integers: for each s with p = p(h|s) and
-    p*l(s) > 0, in state order, the weight (a, b) = (p.numerator*N,
-    p.denominator), where l(s) = N/L in the LCPS's integer view, so that
-    a/b = L*p*l(s); the lcm d of the b; and n = sum of a*d/b. Then
-    mu(s|h) = a*d / (b*n), as the common factor L cancels."""
+    level l explaining it, in integers: for each s with p(h|s) = p/q in
+    lowest terms (read by `_pair`) and p*l(s) > 0, in state order, the
+    weight (a, b) = (p*N, q), where l(s) = N/L in the LCPS's integer view,
+    so that a/b = L*p(h|s)*l(s); the lcm d of the b; and n = sum of a*d/b.
+    Then mu(s|h) = a*d / (b*n), as the common factor L cancels."""
     validate_lcps(lcps, env.states)
     view = lcps._view
     rows = {}
     for h in env.forest.nodes:
         k = lcps.level_for(env.consistent_states[h])
         weights = {}
-        for s, p in env.reach[h].items():
+        for s, r in env.reach[h].items():
             j, m = view[s]
             if j == k:
-                weights[s] = p.numerator * m, p.denominator
+                p, q = _pair(r)
+                weights[s] = p * m, q
         d = lcm(*(b for _, b in weights.values()))
         rows[h] = weights, d, sum(a * (d // b) for a, b in weights.values())
     return rows
@@ -127,7 +154,7 @@ def derive_beliefs(env: LearningEnvironment, lcps: Lcps) -> BeliefSystem:
     """Bayes rule at every contingency from the first level explaining it:
     one Fraction a*d / (b*n) per weight of `_bayes_rows`."""
     return {
-        h: {s: Fraction(a * d, b * n) for s, (a, b) in weights.items()}
+        h: {s: _fraction(a * d, b * n) for s, (a, b) in weights.items()}
         for h, (weights, d, n) in _bayes_rows(env, lcps).items()
     }
 
@@ -280,5 +307,5 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
             if s is not None:
                 dd, nd = view[d]
                 yield ForwardViolation(
-                    h, d, s, Fraction(nh.get(s, 0), dh), Fraction(nd.get(s, 0) * m, dd * dh)
+                    h, d, s, _fraction(nh.get(s, 0), dh), _fraction(nd.get(s, 0) * m, dd * dh)
                 )

@@ -17,6 +17,8 @@ from .model import (
     ONE,
     ZERO,
     _exact_sum,
+    _fraction,
+    _pair,
     _require_rational,
     is_uniform_reach,
     mass_of,
@@ -105,7 +107,7 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
                 _require_rational(
                     m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError
                 )
-        if any(m.numerator < 0 for m in row.values()):
+        if any(_pair(m)[0] < 0 for m in row.values()):
             return CpsViolation(c, None, None, min(row.values()), ZERO), None
         if not known.issuperset(row):
             raise InputError(f"row {sorted(c)} has unknown states")
@@ -171,8 +173,8 @@ def _represents(cps: CompleteCps, lcps: Lcps) -> bool:
     for c, at_k, total in _conditionings(lcps, cps.states):
         row = cps.conditionals[c]
         for e, n in at_k:
-            m = row.get(e, ZERO)
-            if m.numerator * total != m.denominator * n:
+            a, b = _pair(row.get(e, ZERO))
+            if a * total != b * n:
                 return False
     return True
 
@@ -183,7 +185,7 @@ def lcps_to_cps(lcps: Lcps, states: tuple[str, ...]) -> CompleteCps:
     validate_lcps(lcps, states)
     cps = CompleteCps(states, {})
     for c, at_k, total in _conditionings(lcps, states):
-        cps.conditionals[c] = {s: Fraction(n, total) for s, n in at_k}
+        cps.conditionals[c] = {s: _fraction(n, total) for s, n in at_k}
     return cps
 
 
@@ -286,15 +288,14 @@ def check_siniscalchi(
                     if x * left != y * right:
                         return SiniscalchiViolation(
                             seq, (s,),
-                            mu[first].get(s, ZERO) * Fraction(ln, ld),
-                            mu[last].get(s, ZERO) * Fraction(rn, rd),
+                            mu[first].get(s, ZERO) * _fraction(ln, ld),
+                            mu[last].get(s, ZERO) * _fraction(rn, rd),
                         )
     return None
 
 
 def _mass(row: Distribution, keys: frozenset[str]) -> tuple[int, int]:
-    m = mass_of(row, keys)
-    return m.numerator, m.denominator
+    return _pair(mass_of(row, keys))
 
 
 def _end_states(env, row_first, row_last, ends) -> list[tuple[str, int, int]]:
@@ -302,8 +303,8 @@ def _end_states(env, row_first, row_last, ends) -> list[tuple[str, int, int]]:
     mu(s|first) = a/b and mu(s|last) = c/d."""
     out = []
     for s in sorted(ends, key=env.state_index.get):
-        p, q = row_first.get(s, ZERO), row_last.get(s, ZERO)
-        out.append((s, p.numerator * q.denominator, q.numerator * p.denominator))
+        (a, b), (c, d) = _pair(row_first.get(s, ZERO)), _pair(row_last.get(s, ZERO))
+        out.append((s, a * d, c * b))
     return out
 
 
@@ -347,8 +348,8 @@ def _potentials_hold(
         p, q = phi[h]
         row = mu[h]
         for s in states:
-            m = row.get(s, ZERO)
-            n, d = m.numerator * q, m.denominator * p
+            a, b = _pair(row.get(s, ZERO))
+            n, d = a * q, b * p
             if s not in scaled:
                 scaled[s] = n, d
             elif n * scaled[s][1] != scaled[s][0] * d:

@@ -132,7 +132,8 @@ def _path_payoffs(
     env: LearningEnvironment, g: GambleSystem, states: Iterable[str]
 ) -> dict[str, dict[str, Fraction]]:
     """s -> leaf -> the realized cumulative payoff of g along each consistent
-    path of s, for each of `states`; g must pass `_check_supports`."""
+    path of s, for each of `states`; g must pass `_check_supports`. Only the
+    paths of a state that g pays somewhere are walked; the others are 0."""
     pays: dict[str, dict[str, Fraction]] = {s: {} for s in states}  # s -> h -> payoff != 0
     for h, gamble in g.items():
         for s, x in gamble.items():
@@ -141,6 +142,7 @@ def _path_payoffs(
     path = env.forest.path
     return {
         s: {leaf: _exact_sum(paid[h] for h in path(leaf) if h in paid) for leaf in env.eta[s]}
+        if paid else dict.fromkeys(env.eta[s], ZERO)
         for s, paid in pays.items()
     }
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,25 +30,77 @@ class _BeliefView(dict):
     and n = {s: mu(s|h)*d} for each positive mass, in the row's order."""
 
 
+# On CPython, Fraction's numerator and denominator are Python-level properties
+# and its constructor dispatches on its arguments in Python before its gcd, so
+# both cost more than the integer work they wrap. These helpers are the only
+# code that reads an exact Fraction's integers from its slots `_numerator` and
+# `_denominator`, or builds a Fraction from them. A value whose type is not
+# exactly Fraction (an int, a bool, a Fraction subclass, another Rational)
+# keeps the property path.
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d as a Fraction, for ints n and d > 0: one gcd, then the two slots
+    set on a bare instance, as CPython 3.12+ builds Fractions internally."""
+    g = gcd(n, d)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
+
+
+def _pair(m: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of a rational."""
+    if type(m) is Fraction:
+        return m._numerator, m._denominator
+    return m.numerator, m.denominator
+
+
 def _exact_sum(values: Iterable[Rational]) -> Fraction:
     """Sum of rationals, added as integers over the running lcm of the
     denominators; one Fraction is built at the end."""
     n, d = 0, 1
     for v in values:
-        q = v.denominator
+        if type(v) is Fraction:
+            p, q = v._numerator, v._denominator
+        else:
+            p, q = v.numerator, v.denominator
         if d % q:
             m = lcm(d, q)
             n *= m // d
             d = m
-        n += v.numerator * (d // q)
-    return Fraction(n, d)
+        n += p * (d // q)
+    return _fraction(n, d)
+
+
+def _exact(values: Iterable[object]) -> bool:
+    """True iff every value is exactly a Fraction, so its slots can be read."""
+    return set(map(type, values)) <= {Fraction}
 
 
 def _integer_row(row: Mapping[str, Rational]) -> tuple[int, dict[str, int]]:
     """(d, n) for a row of rational masses: d the lcm of the denominators and
     n = {s: row[s]*d} for each nonzero mass, in row order."""
+    if _exact(row.values()):
+        return _exact_row(row)
     d = lcm(*[m.denominator for m in row.values()])
     return d, {s: x for s, m in row.items() if (x := m.numerator * (d // m.denominator))}
+
+
+def _exact_row(row: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """`_integer_row` of a row whose values are all exactly Fractions. Called
+    directly by `_belief_rows`, which has already read the types of every row
+    at once and so skips `_integer_row`'s scan of each row's types."""
+    d = lcm(*[m._denominator for m in row.values()])
+    return d, {s: x for s, m in row.items() if (x := m._numerator * (d // m._denominator))}
+
+
+def _quotients(
+    d: int, n: Mapping[str, int], row: Mapping[str, Fraction]
+) -> dict[str, tuple[int, int]]:
+    """n/d divided by a reach row, for each key of the row in row order, as
+    unreduced integer pairs: (n(s)*q, d*p) for row[s] = p/q in lowest terms,
+    a key missing from n counting as 0. Reach rows hold only exact positive
+    Fractions (see `LearningEnvironment`), so their slots are read directly."""
+    return {s: (n.get(s, 0) * m._denominator, d * m._numerator) for s, m in row.items()}
 
 
 def mass_of(dist: Mapping[str, Fraction], keys: Iterable[str]) -> Fraction:
@@ -80,7 +132,7 @@ def check_distribution(dist: Mapping[str, Fraction], what: str) -> tuple[int, di
         raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
     total = sum(n.values())
     if total != d:
-        raise InvalidEnvironment(f"{what}: masses sum to {Fraction(total, d)}, not 1")
+        raise InvalidEnvironment(f"{what}: masses sum to {_fraction(total, d)}, not 1")
     return d, n
 
 
@@ -170,7 +222,8 @@ class LearningEnvironment:
     Built by `build_environment`; immutable after construction. `eta[s]`
     holds the positive path masses in forest order (its keys are L(s), paths
     keyed by their leaf contingency); `reach[h]` holds p(h|s) > 0 in state
-    order (its keys are S(h)).
+    order (its keys are S(h)). Every eta and reach mass is exactly a Fraction:
+    `build_environment` converts any other Rational before summing.
     """
 
     def __init__(
@@ -225,7 +278,9 @@ def build_environment(
     # States are walked in order, so every reach row comes out in state order.
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
-        row = {k: v if type(v) is Fraction else _eta_mass(v, s, k) for k, v in eta[s].items()}
+        row = eta[s]
+        if not _exact(row.values()):
+            row = {k: v if type(v) is Fraction else _eta_mass(v, s, k) for k, v in row.items()}
         if not row.keys() <= leaf_rank.keys():
             bad = [k for k in row if k not in leaf_rank]
             raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
@@ -288,7 +343,9 @@ def _belief_rows(
     problems: list[tuple[str, str]] = []
     if len(mu) != len(rows) - rows.count(None):  # some key of mu is no contingency
         problems = [(h, "unknown contingency") for h in mu if h not in env.reach]
-    rational = all(map(_is_rational_type, {type(m) for row in rows if row for m in row.values()}))
+    types = {type(m) for row in rows if row for m in row.values()}
+    rational = all(map(_is_rational_type, types))
+    exact = types <= {Fraction}
     known = env.state_index.keys()
     view = _BeliefView()
     for (h, support), row in zip(env.reach.items(), rows):  # node order
@@ -302,15 +359,15 @@ def _belief_rows(
         if not rational and not all(_is_rational_type(type(m)) for m in row.values()):
             problems.append((h, "non-rational mass"))
             continue
-        d, n = _integer_row(row)
+        d, n = _exact_row(row) if exact else _integer_row(row)
         total = sum(n.values())
         if total != d or min(n.values()) < 0:
             negative = any(x < 0 for x in n.values())
             problems.append((h, "negative mass" if negative
-                             else f"masses sum to {Fraction(total, d)}, not 1"))
+                             else f"masses sum to {_fraction(total, d)}, not 1"))
             continue
         if not inside and (out := sum(x for s, x in n.items() if s not in support)):
-            problems.append((h, f"mass {Fraction(out, d)} outside S(h)"))
+            problems.append((h, f"mass {_fraction(out, d)} outside S(h)"))
             continue
         view[h] = d, n
     return view, problems

@@ -10,8 +10,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import (DomainError, IndeterminateProduct, IndeterminateRatio, InternalError,
                      PreconditionViolation)
-from .model import (BeliefSystem, LearningEnvironment, ZERO, ONE, _BeliefView, _integer_row,
-                    _require_rational)
+from .model import (BeliefSystem, LearningEnvironment, ZERO, ONE, _BeliefView, _fraction,
+                    _integer_row, _pair, _quotients, _require_rational)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class CoherenceGraph:
     @cached_property
     def weights(self) -> dict[str, dict[str, Fraction]]:
         """The weight rows as Fractions, built only when asked for."""
-        return {h: {s: Fraction(*w) for s, w in row.items()} for h, row in self.rows.items()}
+        return {h: {s: _fraction(*w) for s, w in row.items()} for h, row in self.rows.items()}
 
     @cached_property
     def edges(self) -> list[OddsLink]:
@@ -138,7 +138,8 @@ class CoherenceViolation:
 
 def _weight(mass: Fraction, p: Fraction) -> Weight:
     """w = mass/p as an unreduced integer pair; p > 0."""
-    return mass.numerator * p.denominator, mass.denominator * p.numerator
+    (a, b), (c, d) = _pair(mass), _pair(p)
+    return a * d, b * c
 
 
 def _ratio(a: Weight, b: Weight) -> ExtendedRatio:
@@ -147,13 +148,13 @@ def _ratio(a: Weight, b: Weight) -> ExtendedRatio:
         return ExtendedRatio.zero()
     if not b[0]:
         return ExtendedRatio.infinite()
-    return ExtendedRatio.finite(Fraction(a[0] * b[1], a[1] * b[0]))
+    return ExtendedRatio.finite(_fraction(a[0] * b[1], a[1] * b[0]))
 
 
 def _require_mass(mass: object, h: str, s: str) -> None:
     """Raise DomainError unless mu(s|h) is a non-negative rational."""
     _require_rational(mass, "mu[%r]: non-rational mass at %r", h, s)
-    if mass.numerator < 0:
+    if _pair(mass)[0] < 0:
         raise DomainError(f"mu[{h!r}]: negative mass at {s!r}")
 
 
@@ -203,17 +204,15 @@ def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> Coheren
     """The weight row of every contingency, at a cost of sum |S(h)|, from mu
     or from the integer view `require_valid_beliefs` made of it; a
     non-rational or negative mass of mu raises DomainError. With row h as
-    (d, n), w(s|h) = (n(s)*p.denominator, d*p.numerator) for p = p(h|s)."""
+    (d, n), w(s|h) = (n(s)*q, d*p) for p(h|s) = p/q in lowest terms, the
+    `_quotients` of n/d by the reach row."""
     if not isinstance(mu, _BeliefView):
         for h in env.forest.nodes:
             for s, mass in mu[h].items():
                 _require_mass(mass, h, s)
         mu = {h: _integer_row(mu[h]) for h in env.forest.nodes}
-    rows = {}
-    for h, (d, n) in mu.items():
-        rows[h] = {s: (n.get(s, 0) * p.denominator, d * p.numerator)
-                   for s, p in env.reach[h].items()}
-    return CoherenceGraph(env.states, rows)
+    reach = env.reach
+    return CoherenceGraph(env.states, {h: _quotients(d, n, reach[h]) for h, (d, n) in mu.items()})
 
 
 def _condensation_walk(
@@ -403,7 +402,7 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
         td = lcm(*(pd for _, pd in pots))
         tn = sum(pn * (td // pd) for pn, pd in pots)
         for s, (pn, pd) in zip(members, pots):
-            potentials[s] = Fraction(pn * td, pd * tn)
+            potentials[s] = _fraction(pn * td, pd * tn)
     return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)
 
 

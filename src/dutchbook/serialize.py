@@ -21,6 +21,7 @@ from .model import (
     BeliefSystem,
     ContingencyForest,
     LearningEnvironment,
+    _fraction,
     build_environment,
 )
 from .consistency import ForwardViolation, Lcps
@@ -37,8 +38,8 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
     if not match:
         raise InputError(f"{where}: expected rational string 'p/q', got {text!r}")
     p, q = match.groups()
-    try:  # the same value as Fraction(text), without its second regex
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    try:  # the value of Fraction(text), without its second regex or argument dispatch
+        return _fraction(int(p), int(q) if q else 1)
     except ValueError as exc:  # integers over sys.get_int_max_str_digits() digits
         raise InputError(f"{where}: {exc}")
 
