@@ -93,12 +93,14 @@ def _check_supports(env: LearningEnvironment, g: GambleSystem) -> None:
 def accepts_system(
     env: LearningEnvironment, mu: BeliefSystem, g: GambleSystem
 ) -> AcceptanceReport:
-    """Per-contingency acceptance of every gamble; mu is not validated."""
+    """Per-contingency acceptance of every gamble; mu is not validated. A
+    contingency without a gamble has expectation 0 and accepts whatever
+    mu(.|h) is, so its belief row is not read."""
     _check_supports(env, g)
     detail: dict[str, tuple[Fraction, bool]] = {}
     for h in env.forest.nodes:
         gamble = g.get(h, {})
-        belief = mu[h]
+        belief = mu[h] if gamble else {}
         for s in gamble:
             _require_rational(belief.get(s, ZERO), "mu[%r]: non-rational mass at %r", h, s)
         value = expected_payoff(belief, gamble)
@@ -270,15 +272,16 @@ def _deterministic_witness_pair(
     `violations` in order. The odds are Fractions for int masses too."""
     for v in violations:
         h, hp = v.h, v.h_prime
+        row, row_p = mu[h], mu[hp]
         shp = env.consistent_states[hp]
         for s in shp:
             for sp in shp:
                 if s == sp:
                     continue
-                if mu[hp].get(sp, ZERO) == 0 or mu[h].get(sp, ZERO) == 0:
+                if row_p.get(sp, ZERO) == 0 or row.get(sp, ZERO) == 0:
                     continue
-                x = Fraction(mu[h].get(s, ZERO), mu[h][sp])
-                y = Fraction(mu[hp].get(s, ZERO), mu[hp][sp])
+                x = Fraction(row.get(s, ZERO), row[sp])
+                y = Fraction(row_p.get(s, ZERO), row_p[sp])
                 if x > y:
                     return h, hp, s, sp, x, y
     return None

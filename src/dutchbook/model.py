@@ -6,11 +6,12 @@ ever touches floating point.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from .errors import DomainError, InputError, InvalidEnvironment
 
@@ -30,13 +31,51 @@ class _BeliefView(dict):
     and n = {s: mu(s|h)*d} for each positive mass, in the row's order."""
 
 
+class _ReadBeliefs(Mapping):
+    """A belief system as `serialize.beliefs_from_doc` reads it: read-only,
+    its rows in document order, each held as its reduced (p, q) pairs in row
+    order and as its integer row (d, n), d the lcm of the q and n = {s: p*d/q}
+    for each nonzero mass. `_belief_rows` validates the integer rows without
+    reading a Fraction. The Fraction row of h, a read-only mapping equal to
+    the document's row (zero masses included), is built on its first lookup
+    and kept."""
+
+    def __init__(self, pairs: dict[str, dict[str, tuple[int, int]]]):
+        self._pairs = pairs
+        self._ints: dict[str, tuple[int, dict[str, int]]] = {}
+        for h, row in pairs.items():
+            d = lcm(*[q for _, q in row.values()])
+            self._ints[h] = d, {s: x for s, (p, q) in row.items() if (x := p * (d // q))}
+        self._rows: dict[str, Mapping[str, Fraction]] = {}
+
+    def __getitem__(self, h: str) -> Mapping[str, Fraction]:
+        row = self._rows.get(h)
+        if row is None:
+            pairs = self._pairs[h]  # KeyError for an unknown contingency, as a dict
+            row = {s: _fraction(p, q) for s, (p, q) in pairs.items()}
+            row = self._rows[h] = MappingProxyType(row)
+        return row
+
+    def __contains__(self, h: object) -> bool:
+        return h in self._pairs
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({ {h: dict(row) for h, row in self.items()} !r})"
+
+
 # On CPython, Fraction's numerator and denominator are Python-level properties
 # and its constructor dispatches on its arguments in Python before its gcd, so
-# both cost more than the integer work they wrap. These helpers are the only
-# code that reads an exact Fraction's integers from its slots `_numerator` and
-# `_denominator`, or builds a Fraction from them. A value whose type is not
-# exactly Fraction (an int, a bool, a Fraction subclass, another Rational)
-# keeps the property path.
+# both cost more than the integer work they wrap. These helpers and the eta
+# pass of `build_environment` are the only code that reads an exact
+# Fraction's integers from its slots `_numerator` and `_denominator`, or
+# builds a Fraction from them. A value whose type is not exactly Fraction (an
+# int, a bool, a Fraction subclass, another Rational) keeps the property path.
 
 def _fraction(n: int, d: int) -> Fraction:
     """n/d as a Fraction, for ints n and d > 0: one gcd, then the two slots
@@ -122,17 +161,22 @@ def _require_rational(value: object, message: str, *args: object, error=DomainEr
         raise error(message % args)
 
 
+def _require_distribution(what: str, keys: Iterable[str], nums: Iterable[int], d: int) -> None:
+    """Raise InvalidEnvironment unless the numerators over d, one per key in
+    order, are non-negative and sum to d: masses that sum to 1."""
+    if min(nums, default=0) < 0:
+        key = next(k for k, x in zip(keys, nums) if x < 0)
+        raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
+    if (total := sum(nums)) != d:
+        raise InvalidEnvironment(f"{what}: masses sum to {_fraction(total, d)}, not 1")
+
+
 def check_distribution(dist: Mapping[str, Fraction], what: str) -> tuple[int, dict[str, int]]:
     """Raise InvalidEnvironment unless the rational masses are non-negative
     and sum to 1; return their integer row (d, n) from `_integer_row`, whose
     n holds the positive masses in row order."""
     d, n = _integer_row(dist)
-    if min(n.values(), default=0) < 0:
-        key = next(k for k, x in n.items() if x < 0)
-        raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
-    total = sum(n.values())
-    if total != d:
-        raise InvalidEnvironment(f"{what}: masses sum to {_fraction(total, d)}, not 1")
+    _require_distribution(what, n, n.values(), d)
     return d, n
 
 
@@ -257,7 +301,12 @@ def build_environment(
     forest: ContingencyForest,
     eta: Mapping[str, Mapping[str, Fraction]],
 ) -> LearningEnvironment:
-    """Validate inputs and build the sparse eta and reach tables."""
+    """Validate inputs and build the sparse eta and reach tables.
+
+    Each eta row is checked in one pass over its integers (the lcm d of its
+    denominators and each numerator over d): no negative numerator, a sum of
+    d. Its positive masses are kept in a new dict, which is sorted into
+    forest order only when its leaf ranks are out of order."""
     if not states:
         raise InvalidEnvironment("state space is empty")
     if len(set(states)) != len(states):
@@ -281,13 +330,25 @@ def build_environment(
         row = eta[s]
         if not _exact(row.values()):
             row = {k: v if type(v) is Fraction else _eta_mass(v, s, k) for k, v in row.items()}
-        if not row.keys() <= leaf_rank.keys():
+        try:
+            ranks = [leaf_rank[k] for k in row]
+        except KeyError:
             bad = [k for k in row if k not in leaf_rank]
-            raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
-        _, n = check_distribution(row, f"eta[{s!r}]")
-        eta_table[s] = positive = {l: row[l] for l in sorted(n, key=leaf_rank.__getitem__)}
+            raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}") from None
+        d = lcm(*[m._denominator for m in row.values()])
+        nums = [m._numerator * (d // m._denominator) for m in row.values()]
+        _require_distribution(f"eta[{s!r}]", row, nums, d)
+        if 0 in nums:
+            positive = {k: m for (k, m), x in zip(row.items(), nums) if x}
+        else:
+            positive = dict(row)  # a copy: the caller's dict may change later
+        if ranks != sorted(ranks):  # then the positive masses may be out of forest order too
+            positive = {l: positive[l] for l in sorted(positive, key=leaf_rank.__getitem__)}
+        eta_table[s] = positive
         for h, mass in positive.items():
-            while h is not None:  # the leaf, then its ancestors
+            reach[h][s] = mass  # the leaf, which no other path of s reaches
+            h = parent.get(h)
+            while h is not None:  # its ancestors
                 row_h = reach[h]
                 row_h[s] = row_h[s] + mass if s in row_h else mass
                 h = parent.get(h)
@@ -336,16 +397,20 @@ def _belief_rows(
     unknown states, non-rational mass, negative mass, a sum other than 1,
     positive mass outside S(h)), or else its integer row (d, n) in the view.
 
-    Mass types are checked once over all rows, and row by row only when that
-    check fails; each row is turned into integers once, and its sums and
-    signs are read from those integers."""
-    rows = [mu.get(h) for h in env.reach]
+    A `_ReadBeliefs` brings its integer rows, whose masses are all rational,
+    and no Fraction of it is read. Otherwise mass types are checked once over
+    all rows, and row by row only when that check fails; each row is turned
+    into integers once, and its sums and signs are read from those integers."""
+    if type(mu) is _ReadBeliefs:
+        rows, ints = [mu._pairs.get(h) for h in env.reach], mu._ints
+    else:
+        rows, ints = [mu.get(h) for h in env.reach], None
+        types = {type(m) for row in rows if row for m in row.values()}
+        rational = all(map(_is_rational_type, types))
+        exact = types <= {Fraction}
     problems: list[tuple[str, str]] = []
     if len(mu) != len(rows) - rows.count(None):  # some key of mu is no contingency
         problems = [(h, "unknown contingency") for h in mu if h not in env.reach]
-    types = {type(m) for row in rows if row for m in row.values()}
-    rational = all(map(_is_rational_type, types))
-    exact = types <= {Fraction}
     known = env.state_index.keys()
     view = _BeliefView()
     for (h, support), row in zip(env.reach.items(), rows):  # node order
@@ -356,10 +421,13 @@ def _belief_rows(
         if not inside and (bad := [s for s in row if s not in known]):
             problems.append((h, f"unknown states {bad}"))
             continue
-        if not rational and not all(_is_rational_type(type(m)) for m in row.values()):
+        if ints is not None:
+            d, n = ints[h]
+        elif not rational and not all(_is_rational_type(type(m)) for m in row.values()):
             problems.append((h, "non-rational mass"))
             continue
-        d, n = _exact_row(row) if exact else _integer_row(row)
+        else:
+            d, n = _exact_row(row) if exact else _integer_row(row)
         total = sum(n.values())
         if total != d or min(n.values()) < 0:
             negative = any(x < 0 for x in n.values())

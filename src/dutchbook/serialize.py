@@ -21,6 +21,7 @@ from .model import (
     BeliefSystem,
     ContingencyForest,
     LearningEnvironment,
+    _ReadBeliefs,
     _fraction,
     build_environment,
 )
@@ -33,15 +34,27 @@ from .simulate import SimReport
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
-def parse_rational(text: Any, where: str = "value") -> Fraction:
-    match = isinstance(text, str) and _RATIONAL_RE.match(text)
-    if not match:
-        raise InputError(f"{where}: expected rational string 'p/q', got {text!r}")
+def _reduced(text: str) -> tuple[int, int]:
+    """The rational string "p/q" or "p" as its reduced (p, q): one regex
+    match, two ints and one gcd. Any other value raises InputError (another
+    string), TypeError (not a string) or ValueError (an integer over
+    sys.get_int_max_str_digits() digits); `parse_rational` words the error."""
+    match = _RATIONAL_RE.match(text)
+    if match is None:
+        raise InputError(f"expected rational string 'p/q', got {text!r}")
     p, q = match.groups()
-    try:  # the value of Fraction(text), without its second regex or argument dispatch
-        return _fraction(int(p), int(q) if q else 1)
+    p, q = int(p), int(q) if q else 1
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: Any, where: str = "value") -> Fraction:
+    try:
+        return _fraction(*_reduced(text))
+    except (InputError, TypeError):
+        raise InputError(f"{where}: expected rational string 'p/q', got {text!r}") from None
     except ValueError as exc:  # integers over sys.get_int_max_str_digits() digits
-        raise InputError(f"{where}: {exc}")
+        raise InputError(f"{where}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -66,18 +79,28 @@ def _row_to_doc(row: Mapping[str, Fraction], order: Mapping[str, int]) -> dict[s
     return {k: format_rational(row[k]) for k in keys if row[k] != 0}
 
 
+class _Pairs(dict):
+    """The rationals already read from one document, keyed by their string,
+    each as its reduced (p, q): a missing string is parsed by `_reduced` on
+    its first lookup and kept. A value that fails raises from `_reduced`,
+    and `_rational_row` names it."""
+
+    def __missing__(self, text: Any) -> tuple[int, int]:
+        pair = self[text] = _reduced(text)
+        return pair
+
+
 class _Memo(dict):
-    """The rationals already read from one document, keyed by their string:
-    a missing string is parsed on its first lookup and kept; any other value
-    goes to `parse_rational`, which rejects it. A value that fails is named
-    in the error by `_rational_row`, not here."""
+    """The same memo for the readers whose tables hold Fractions (eta rows,
+    gambles, LCPS levels, CPS rows): each distinct string is kept as one
+    Fraction."""
 
     def __missing__(self, text: Any) -> Fraction:
-        value = self[text] = parse_rational(text, "value")
+        value = self[text] = _fraction(*_reduced(text))
         return value
 
 
-def _rational_row(doc: Any, memo: _Memo, where: str, key: str | None = None) -> dict[str, Fraction]:
+def _rational_row(doc: Any, memo: _Pairs | _Memo, where: str, key: str | None = None) -> dict:
     """A row of rationals, each read through the document's `memo`, so each
     distinct string is parsed once, in order of first occurrence. The row is
     named `where`, or `where[key]` when a key is given; the name is written
@@ -85,7 +108,7 @@ def _rational_row(doc: Any, memo: _Memo, where: str, key: str | None = None) -> 
     if isinstance(doc, dict):
         try:
             return {k: memo[v] for k, v in doc.items()}
-        except (InputError, TypeError):  # a bad value, or an unhashable one
+        except (InputError, TypeError, ValueError):  # a bad value, an unhashable one too
             pass
     where = where if key is None else f"{where}[{key!r}]"
     if not isinstance(doc, dict):
@@ -145,17 +168,19 @@ def environment_to_doc(env: LearningEnvironment) -> dict:
 
 # -------------------------------------------------------- distribution tables
 
-def _table_from_doc(doc: Any, outer: str) -> dict[str, dict[str, Fraction]]:
+def _table_from_doc(doc: Any, outer: str, memo: _Pairs | _Memo) -> dict[str, dict]:
     _require_keys(doc, {outer}, {outer}, outer)
     table = doc[outer]
     if not isinstance(table, dict):
         raise InputError(f"{outer}: expected an object")
-    memo = _Memo()
     return {k: _rational_row(row, memo, outer, k) for k, row in table.items()}
 
 
-def beliefs_from_doc(doc: Any) -> BeliefSystem:
-    return _table_from_doc(doc, "beliefs")
+def beliefs_from_doc(doc: Any) -> Mapping[str, Mapping[str, Fraction]]:
+    """The belief system of the document, read-only: each row is read as
+    reduced (p, q) pairs and held with its integer row (`model._ReadBeliefs`),
+    and its Fractions are built when the row is first looked up."""
+    return _ReadBeliefs(_table_from_doc(doc, "beliefs", _Pairs()))
 
 
 def beliefs_to_doc(env: LearningEnvironment, mu: BeliefSystem) -> dict:
@@ -163,7 +188,7 @@ def beliefs_to_doc(env: LearningEnvironment, mu: BeliefSystem) -> dict:
 
 
 def gambles_from_doc(doc: Any) -> GambleSystem:
-    return _table_from_doc(doc, "gambles")
+    return _table_from_doc(doc, "gambles", _Memo())
 
 
 def gambles_to_doc(env: LearningEnvironment, g: GambleSystem) -> dict:

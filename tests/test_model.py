@@ -194,6 +194,41 @@ class TestEnvironment:
                   for m in row.values()]
         assert all(type(m) is F for m in values)
 
+    def test_tables_do_not_alias_caller_rows(self):
+        # Rows in forest order with positive Fraction masses are copied whole,
+        # the others filtered or sorted; none may be the caller's dict, so
+        # mutating the caller's rows later leaves the environment as built.
+        forest = ContingencyForest(["r", "a", "b", "c"], {"a": "r", "b": "r"})
+        eta = {
+            "s": {"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)},  # in order, all positive
+            "t": {"c": F(1, 3), "a": F(2, 3)},  # out of order
+            "u": {"a": ZERO, "b": 1, "c": 0},  # int masses and explicit zeros
+            "v": {"c": F(1, 2), "b": 0, "a": F(1, 2)},  # both
+        }
+        env = build_environment(["s", "t", "u", "v"], forest, eta)
+        expected_eta = {
+            "s": {"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)},
+            "t": {"a": F(2, 3), "c": F(1, 3)},
+            "u": {"b": F(1)},
+            "v": {"a": F(1, 2), "c": F(1, 2)},
+        }
+        expected_reach = {
+            "r": {"s": F(1, 2), "t": F(2, 3), "u": F(1), "v": F(1, 2)},
+            "a": {"s": F(1, 4), "t": F(2, 3), "v": F(1, 2)},
+            "b": {"s": F(1, 4), "u": F(1)},
+            "c": {"s": F(1, 2), "t": F(1, 3), "v": F(1, 2)},
+        }
+        assert repr(env.eta) == repr(expected_eta)
+        assert repr(env.reach) == repr(expected_reach)
+        for i, row in enumerate(eta.values()):
+            row["a"] = F(i + 5)
+            row.pop("c", None)
+            row["zz"] = F(-1)
+        eta["w"] = {"a": F(1)}
+        assert repr(env.eta) == repr(expected_eta)
+        assert repr(env.reach) == repr(expected_reach)
+        assert env.consistent_states["b"] == ("s", "u")
+
     def test_many_states_build_in_linear_time(self):
         # Each eta row is looked up among the states once, not scanned for.
         n = 20_000

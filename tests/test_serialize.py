@@ -330,15 +330,16 @@ class TestReaderMemo:
 
     @pytest.mark.parametrize("name", READERS)
     def test_repeated_strings_are_parsed_once(self, name, monkeypatch):
+        # `_reduced` is the one parse step of every reader's memo.
         read, build, _, values = READERS[name]
         calls = []
-        parse = sz.parse_rational
+        parse = sz._reduced
 
-        def counted(text, where):
+        def counted(text):
             calls.append(text)
-            return parse(text, where)
+            return parse(text)
 
-        monkeypatch.setattr(sz, "parse_rational", counted)
+        monkeypatch.setattr(sz, "_reduced", counted)
         assert values(read(build(["1/2"] * 4))) == [F(1, 2)] * 4
         assert calls == ["1/2"]
         calls.clear()
