@@ -35,17 +35,19 @@ class _ReadBeliefs(Mapping):
     """A belief system as `serialize.beliefs_from_doc` reads it: read-only,
     its rows in document order, each held as its reduced (p, q) pairs in row
     order and as its integer row (d, n), d the lcm of the q and n = {s: p*d/q}
-    for each nonzero mass. `_belief_rows` validates the integer rows without
+    for each nonzero mass, in row order; the reader builds both in one pass
+    over the row's entries. `_belief_rows` validates the integer rows without
     reading a Fraction. The Fraction row of h, a read-only mapping equal to
     the document's row (zero masses included), is built on its first lookup
     and kept."""
 
-    def __init__(self, pairs: dict[str, dict[str, tuple[int, int]]]):
+    def __init__(
+        self,
+        pairs: dict[str, dict[str, tuple[int, int]]],
+        ints: dict[str, tuple[int, dict[str, int]]],
+    ):
         self._pairs = pairs
-        self._ints: dict[str, tuple[int, dict[str, int]]] = {}
-        for h, row in pairs.items():
-            d = lcm(*[q for _, q in row.values()])
-            self._ints[h] = d, {s: x for s, (p, q) in row.items() if (x := p * (d // q))}
+        self._ints = ints
         self._rows: dict[str, Mapping[str, Fraction]] = {}
 
     def __getitem__(self, h: str) -> Mapping[str, Fraction]:
@@ -161,22 +163,16 @@ def _require_rational(value: object, message: str, *args: object, error=DomainEr
         raise error(message % args)
 
 
-def _require_distribution(what: str, keys: Iterable[str], nums: Iterable[int], d: int) -> None:
-    """Raise InvalidEnvironment unless the numerators over d, one per key in
-    order, are non-negative and sum to d: masses that sum to 1."""
-    if min(nums, default=0) < 0:
-        key = next(k for k, x in zip(keys, nums) if x < 0)
-        raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
-    if (total := sum(nums)) != d:
-        raise InvalidEnvironment(f"{what}: masses sum to {_fraction(total, d)}, not 1")
-
-
 def check_distribution(dist: Mapping[str, Fraction], what: str) -> tuple[int, dict[str, int]]:
     """Raise InvalidEnvironment unless the rational masses are non-negative
     and sum to 1; return their integer row (d, n) from `_integer_row`, whose
     n holds the positive masses in row order."""
     d, n = _integer_row(dist)
-    _require_distribution(what, n, n.values(), d)
+    if min(n.values(), default=0) < 0:
+        key = next(k for k, x in n.items() if x < 0)
+        raise InvalidEnvironment(f"{what}: negative mass at {key!r}")
+    if (total := sum(n.values())) != d:
+        raise InvalidEnvironment(f"{what}: masses sum to {_fraction(total, d)}, not 1")
     return d, n
 
 
@@ -289,11 +285,16 @@ class LearningEnvironment:
             raise DomainError(f"unknown state {s!r}")
 
 
-def _eta_mass(value: object, s: str, k: str) -> Fraction:
-    """An eta mass given as a Rational other than a Fraction, as a Fraction;
-    InvalidEnvironment for any other value."""
-    _require_rational(value, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment)
-    return Fraction(value)
+def _refuse_eta_row(s: str, row: Mapping[str, object], leaf_rank: Mapping[str, int]) -> None:
+    """Raise InvalidEnvironment for an eta row that `build_environment`'s
+    loop refused, worded by its first failing check: a non-rational mass (the
+    first), unknown path keys (all of them), then `check_distribution`."""
+    for k, v in row.items():
+        _require_rational(v, "eta[%r]: non-rational mass at %r", s, k, error=InvalidEnvironment)
+    bad = [k for k in row if k not in leaf_rank]
+    if bad:
+        raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}")
+    check_distribution(row, f"eta[{s!r}]")
 
 
 def build_environment(
@@ -303,10 +304,14 @@ def build_environment(
 ) -> LearningEnvironment:
     """Validate inputs and build the sparse eta and reach tables.
 
-    Each eta row is checked in one pass over its integers (the lcm d of its
-    denominators and each numerator over d): no negative numerator, a sum of
-    d. Its positive masses are kept in a new dict, which is sorted into
-    forest order only when its leaf ranks are out of order."""
+    Each eta row is read in one loop over its entries. An exact Fraction's
+    slots are read directly and any other Rational is converted; each key
+    is ranked as a leaf; the masses are added as integers over the running
+    lcm of their denominators, which must end as 1 with no negative
+    numerator; and each positive mass goes into a new dict and into reach at
+    once. The dict is sorted into forest order only when its leaf ranks came
+    out of order. A row that fails any check is handed to `_refuse_eta_row`,
+    which words the error."""
     if not states:
         raise InvalidEnvironment("state space is empty")
     if len(set(states)) != len(states):
@@ -324,34 +329,45 @@ def build_environment(
     leaf_rank = {l: forest.index[l] for l in forest.leaves}
     parent = forest.parent
     eta_table: dict[str, Distribution] = {}
-    # States are walked in order, so every reach row comes out in state order.
+    # States are walked in order, so every reach row comes out in state order,
+    # whatever order each eta row is spread in.
     reach: dict[str, dict[str, Fraction]] = {h: {} for h in forest.nodes}
     for s in state_tuple:
         row = eta[s]
-        if not _exact(row.values()):
-            row = {k: v if type(v) is Fraction else _eta_mass(v, s, k) for k, v in row.items()}
-        try:
-            ranks = [leaf_rank[k] for k in row]
-        except KeyError:
-            bad = [k for k in row if k not in leaf_rank]
-            raise InvalidEnvironment(f"eta[{s!r}] has unknown path keys {bad}") from None
-        d = lcm(*[m._denominator for m in row.values()])
-        nums = [m._numerator * (d // m._denominator) for m in row.values()]
-        _require_distribution(f"eta[{s!r}]", row, nums, d)
-        if 0 in nums:
-            positive = {k: m for (k, m), x in zip(row.items(), nums) if x}
-        else:
-            positive = dict(row)  # a copy: the caller's dict may change later
-        if ranks != sorted(ranks):  # then the positive masses may be out of forest order too
-            positive = {l: positive[l] for l in sorted(positive, key=leaf_rank.__getitem__)}
-        eta_table[s] = positive
-        for h, mass in positive.items():
-            reach[h][s] = mass  # the leaf, which no other path of s reaches
-            h = parent.get(h)
-            while h is not None:  # its ancestors
-                row_h = reach[h]
-                row_h[s] = row_h[s] + mass if s in row_h else mass
-                h = parent.get(h)
+        positive: Distribution = {}
+        total, d, last, ordered = 0, 1, -1, True  # total/d: the row's sum so far
+        for k, m in row.items():
+            if type(m) is not Fraction:
+                if not issubclass(type(m), Rational):
+                    break
+                m = Fraction(m)
+            p, q = m._numerator, m._denominator
+            rank = leaf_rank.get(k)
+            if rank is None or p < 0:
+                break
+            if d % q:
+                r = lcm(d, q)
+                total *= r // d
+                d = r
+            total += p * (d // q)
+            if p:
+                positive[k] = m
+                if rank < last:
+                    ordered = False
+                last = rank
+                reach[k][s] = m  # the leaf, which no other path of s reaches
+                h = parent.get(k)
+                while h is not None:  # its ancestors
+                    row_h = reach[h]
+                    row_h[s] = row_h[s] + m if s in row_h else m
+                    h = parent.get(h)
+        else:  # no entry was refused
+            if total == d:
+                if not ordered:
+                    positive = {l: positive[l] for l in sorted(positive, key=leaf_rank.__getitem__)}
+                eta_table[s] = positive
+                continue
+        _refuse_eta_row(s, row, leaf_rank)  # a refused entry, or masses not summing to 1
 
     for h in forest.nodes:
         if not reach[h]:

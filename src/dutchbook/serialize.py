@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
@@ -31,19 +30,21 @@ from .gambles import AcceptanceReport, BookVerdict, DeterministicVerdict, Gamble
 from .odds import CoherenceCertificate, CoherenceViolation, ExtendedRatio, OddsLink
 from .simulate import SimReport
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
-
-
 def _reduced(text: str) -> tuple[int, int]:
-    """The rational string "p/q" or "p" as its reduced (p, q): one regex
-    match, two ints and one gcd. Any other value raises InputError (another
+    """The rational string "p/q" or "p" as its reduced (p, q): the whole
+    string must read -?D+ or -?D+/ND*, D any Unicode decimal digit (category
+    Nd, as `str.isdecimal` and `int` read them) and N an ASCII digit 1-9;
+    then two ints and one gcd. Any other value raises InputError (another
     string), TypeError (not a string) or ValueError (an integer over
     sys.get_int_max_str_digits() digits); `parse_rational` words the error."""
-    match = _RATIONAL_RE.match(text)
-    if match is None:
+    if not isinstance(text, str):
+        raise TypeError(f"expected a string, got {type(text).__name__}")
+    p, slash, q = text.partition("/")
+    if not (p[1:] if p.startswith("-") else p).isdecimal() or (
+        slash and not (q.isdecimal() and "1" <= q[0] <= "9")
+    ):
         raise InputError(f"expected rational string 'p/q', got {text!r}")
-    p, q = match.groups()
-    p, q = int(p), int(q) if q else 1
+    p, q = int(p), int(q) if slash else 1
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -147,8 +148,18 @@ def environment_from_doc(doc: Any) -> LearningEnvironment:
             parent[h] = p
     if not isinstance(doc["eta"], dict):
         raise InputError("environment.eta: expected an object")
-    memo = _Memo()
-    eta = {s: _rational_row(row, memo, "eta", s) for s, row in doc["eta"].items()}
+    # Each row in one loop of memo lookups; a row that fails is read again by
+    # `_rational_row`, which raises with the name of the row or of its value.
+    memo, eta = _Memo(), {}
+    for s, row in doc["eta"].items():
+        if not isinstance(row, dict):
+            _rational_row(row, memo, "eta", s)
+        eta[s] = masses = {}
+        try:
+            for k, v in row.items():
+                masses[k] = memo[v]
+        except (InputError, TypeError, ValueError):  # a bad value, an unhashable one too
+            _rational_row(row, memo, "eta", s)
     return build_environment(states, ContingencyForest(nodes, parent), eta)
 
 
@@ -168,19 +179,45 @@ def environment_to_doc(env: LearningEnvironment) -> dict:
 
 # -------------------------------------------------------- distribution tables
 
-def _table_from_doc(doc: Any, outer: str, memo: _Pairs | _Memo) -> dict[str, dict]:
+def _table(doc: Any, outer: str) -> dict:
+    """The object of rows that the document {outer: {...}} holds."""
     _require_keys(doc, {outer}, {outer}, outer)
     table = doc[outer]
     if not isinstance(table, dict):
         raise InputError(f"{outer}: expected an object")
-    return {k: _rational_row(row, memo, outer, k) for k, row in table.items()}
+    return table
 
 
 def beliefs_from_doc(doc: Any) -> Mapping[str, Mapping[str, Fraction]]:
-    """The belief system of the document, read-only: each row is read as
-    reduced (p, q) pairs and held with its integer row (`model._ReadBeliefs`),
-    and its Fractions are built when the row is first looked up."""
-    return _ReadBeliefs(_table_from_doc(doc, "beliefs", _Pairs()))
+    """The belief system of the document, read-only (`model._ReadBeliefs`).
+    One loop over each row's entries builds both forms the mapping holds:
+    the reduced (p, q) pairs, and the integer row (d, n), d the running lcm
+    of the q (the numerators so far are scaled up whenever it grows) and n
+    the nonzero numerators over d. A row's Fractions are built when the row
+    is first looked up. A row that fails is read again by `_rational_row`,
+    which raises with the name of the row or of its value."""
+    memo, pairs, ints = _Pairs(), {}, {}
+    for h, row in _table(doc, "beliefs").items():
+        if not isinstance(row, dict):
+            _rational_row(row, memo, "beliefs", h)
+        pairs[h] = reduced = {}
+        n: dict[str, int] = {}
+        d = 1
+        try:
+            for s, v in row.items():
+                p, q = reduced[s] = memo[v]
+                if d % q:
+                    grown = math.lcm(d, q)
+                    scale = grown // d
+                    for t in n:
+                        n[t] *= scale
+                    d = grown
+                if p:
+                    n[s] = p * (d // q)
+        except (InputError, TypeError, ValueError):  # a bad value, an unhashable one too
+            _rational_row(row, memo, "beliefs", h)
+        ints[h] = d, n
+    return _ReadBeliefs(pairs, ints)
 
 
 def beliefs_to_doc(env: LearningEnvironment, mu: BeliefSystem) -> dict:
@@ -188,7 +225,8 @@ def beliefs_to_doc(env: LearningEnvironment, mu: BeliefSystem) -> dict:
 
 
 def gambles_from_doc(doc: Any) -> GambleSystem:
-    return _table_from_doc(doc, "gambles", _Memo())
+    memo = _Memo()
+    return {h: _rational_row(row, memo, "gambles", h) for h, row in _table(doc, "gambles").items()}
 
 
 def gambles_to_doc(env: LearningEnvironment, g: GambleSystem) -> dict:

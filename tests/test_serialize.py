@@ -21,15 +21,15 @@ class TestRationals:
     def test_parse(self, text, value):
         assert sz.parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1/0", "1 / 3", "", "1/-3", None, 3, "inf"])
+    @pytest.mark.parametrize("text", ["0.5", "1/0", "1 / 3", "", "1/-3", None, 3, "inf", "3/4\n"])
     def test_rejects(self, text):
         with pytest.raises(InputError):
             sz.parse_rational(text)
 
     def test_matches_fraction_of_text(self):
-        # parse_rational takes p and q from its regex groups; the reference
-        # is the same regex gate followed by Fraction(text).
-        gate = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+        # The reference is the grammar parse_rational accepts, as a regex
+        # over the whole string, followed by Fraction(text).
+        gate = re.compile(r"^-?\d+(/[1-9]\d*)?\Z")
 
         def reference(text):
             if not gate.match(text):

@@ -1,8 +1,11 @@
 """The environment reader and `build_environment` against the versions they
 replaced, kept below as the reference: the same eta and reach tables, by
-`repr`, on seeded documents, and the same error on mutated ones."""
+`repr`, on seeded documents, and the same error on mutated ones. Then the
+per-row cost of the environment and belief readers, counted in calls."""
 import copy
+import os
 import random
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -10,6 +13,7 @@ import pytest
 
 from conftest import random_forest, weights
 
+import dutchbook
 from dutchbook import ContingencyForest, LearningEnvironment, build_environment
 from dutchbook import serialize as sz
 from dutchbook.errors import DutchbookError, InputError, InvalidEnvironment
@@ -211,9 +215,16 @@ class TestEnvironmentReaderMatchesReference:
         assert len(messages) >= 15, sorted(messages)
 
 
+class SubFraction(Fraction):
+    """A Fraction subclass: a Rational that `build_environment` must convert
+    to an exact Fraction, as it does an int."""
+
+
 class TestBuildEnvironmentMatchesReference:
-    # Masses given through the library: ints, bools, Fractions and floats.
-    MASSES = [F(1), F(1, 2), F(1, 3), F(2, 3), F(0), F(-1, 2), 1, 0, True, False, 0.5, F(3, 2)]
+    # Masses given through the library: ints, bools, Fractions, a Fraction
+    # subclass and floats.
+    MASSES = [F(1), F(1, 2), F(1, 3), F(2, 3), F(0), F(-1, 2), 1, 0, True, False, 0.5, F(3, 2),
+              SubFraction(1, 2)]
 
     def test_seeded_tables(self):
         rng, seen = random.Random(0xE7C), {"built": 0, "refused": 0}
@@ -227,6 +238,10 @@ class TestBuildEnvironmentMatchesReference:
             expected = outcome(reference_build_environment, states, forest, eta)
             assert outcome(build_environment, states, forest, eta) == expected
             seen["refused" if len(expected) == 2 else "built"] += 1
+            if len(expected) != 2:
+                env = build_environment(states, forest, eta)
+                rows = [*env.eta.values(), *env.reach.values()]
+                assert {type(m) for row in rows for m in row.values()} == {Fraction}
         assert min(seen.values()) >= 100, seen
 
     @pytest.mark.parametrize("row", [
@@ -243,3 +258,68 @@ class TestBuildEnvironmentMatchesReference:
             assert str(caught.value) == str(exc)
         else:
             check_distribution(row, "prior")
+
+
+# Comprehensions and generator expressions are functions on some Python
+# versions and inlined on others, so they are not counted.
+UNNAMED = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def package_calls(read, doc):
+    """The number of calls of named `dutchbook` functions while read(doc) runs."""
+    package, calls = os.path.dirname(dutchbook.__file__), 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package) and code.co_name not in UNNAMED:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        read(doc)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def environment_doc(n_states):
+    """n_states eta rows over one small forest, cycling through four rows
+    made of the same few strings: a zero mass, a row out of forest order,
+    and paths under a shared root."""
+    rows = [{"x": "1/2", "y": "1/4", "z": "1/4"}, {"z": "2/3", "x": "1/3"},
+            {"y": "1", "z": "0"}, {"x": "1/4", "y": "1/2", "z": "1/4"}]
+    return {
+        "states": [f"s{i}" for i in range(n_states)],
+        "contingencies": [{"id": "r", "parent": None}, {"id": "x", "parent": "r"},
+                          {"id": "y", "parent": "r"}, {"id": "z", "parent": None}],
+        "eta": {f"s{i}": dict(rows[i % len(rows)]) for i in range(n_states)},
+    }
+
+
+def beliefs_doc(n_rows):
+    """n_rows belief rows cycling through four rows made of the same few
+    strings: a zero mass, and denominators whose lcm grows along the row."""
+    rows = [{"a": "1/2", "b": "1/3", "c": "1/6"}, {"a": "1"}, {"b": "0", "c": "1"},
+            {"c": "1/4", "a": "1/2", "b": "1/4"}]
+    return {"beliefs": {f"h{i}": dict(rows[i % len(rows)]) for i in range(n_rows)}}
+
+
+class TestReadersCostNoCallsPerRow:
+    """Each row is read by one loop in the reader: on a valid document, the
+    number of `dutchbook` calls depends on its distinct strings, not on its
+    number of rows."""
+
+    @pytest.mark.parametrize("read,make", [(sz.environment_from_doc, environment_doc),
+                                           (sz.beliefs_from_doc, beliefs_doc)],
+                             ids=["environment", "beliefs"])
+    def test_ten_rows_and_two_hundred_make_the_same_calls(self, read, make):
+        assert package_calls(read, make(10)) == package_calls(read, make(200))
+
+    def test_documents_are_valid(self):
+        env = sz.environment_from_doc(environment_doc(200))
+        assert env.eta["s1"] == {"x": F(1, 3), "z": F(2, 3)}  # sorted into forest order
+        assert env.reach["r"]["s0"] == F(3, 4)
+        mu = sz.beliefs_from_doc(beliefs_doc(200))
+        assert mu._ints["h0"] == (6, {"a": 3, "b": 2, "c": 1})
+        assert mu._ints["h3"] == (4, {"c": 1, "a": 2, "b": 1})
