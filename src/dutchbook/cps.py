@@ -16,8 +16,10 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
-    _exact_sum,
+    _exact,
+    _exact_row,
     _fraction,
+    _integer_row,
     _pair,
     _require_rational,
     is_uniform_reach,
@@ -26,10 +28,23 @@ from .model import (
 )
 from .consistency import Lcps, validate_lcps
 
-# 2^16 - 1 conditioning events: validating the CPS of a two-level LCPS over
-# 16 states takes 0.65-0.7 s and building it with `lcps_to_cps` about 0.8 s
-# (best of 3, CPython 3.11.7, one core of a 2-core x86-64 machine).
+# 2^16 - 1 conditioning events. For the CPS of a two-level LCPS over 16
+# states (best of 5 in a fresh process, CPython 3.11.7, one core of a 2-core
+# x86-64 machine): `lcps_to_cps` builds it in 0.3-0.35 s, half of that in
+# the cyclic garbage collector; `validate_complete_cps` and `cps_to_lcps`
+# take about 0.2 s; `serialize.cps_to_doc` writes it in 0.25 s and
+# `serialize.dumps` in 0.15 s; `serialize.cps_from_doc` reads it back in
+# about 0.35 s, 0.2 s of it outside the collector. A CPS whose only failure
+# is at S runs the pair scan through every event: 1-1.5 s.
 MAX_CPS_STATES = 16
+
+
+def _events(states: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], frozenset[str]]]:
+    """Every nonempty event over the states in canonical order (size-major,
+    then state order), as its states in state order and as its frozenset."""
+    for size in range(1, len(states) + 1):
+        for combo in combinations(states, size):
+            yield combo, frozenset(combo)
 
 
 @dataclass
@@ -45,8 +60,8 @@ class CompleteCps:
 
     def subsets(self):
         """All nonempty subsets in canonical (size-major, order-minor) order."""
-        for k in range(1, len(self.states) + 1):
-            yield from (frozenset(c) for c in combinations(self.states, k))
+        for _, c in _events(self.states):
+            yield c
 
 
 @dataclass(frozen=True)
@@ -96,96 +111,181 @@ def validate_complete_cps(cps: CompleteCps) -> CpsViolation | None:
 
 
 def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
-    """The first violation, or None and the CPS's LCPS."""
-    known = set(cps.states)
-    for c in cps.subsets():
-        if c not in cps.conditionals:
-            raise InputError(f"missing subset entry {sorted(c)}")
-        row = cps.conditionals[c]
-        for s, m in row.items():
-            if type(m) is not Fraction:
-                _require_rational(
-                    m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError
-                )
-        if any(_pair(m)[0] < 0 for m in row.values()):
-            return CpsViolation(c, None, None, min(row.values()), ZERO), None
-        if not known.issuperset(row):
-            raise InputError(f"row {sorted(c)} has unknown states")
-        # A row on C sums to its mass on C, so only a row reaching outside C
-        # is summed twice.
-        if _exact_sum(row.values()) != ONE or (not c.issuperset(row) and mass_of(row, c) != ONE):
-            return CpsViolation(c, None, None, mass_of(row, c), ONE), None
-    lcps = Lcps(tuple(_levels(cps)))
-    if _represents(cps, lcps):
-        return None, lcps
-    order = {s: i for i, s in enumerate(cps.states)}
-    for c in cps.subsets():
-        row_c = cps.conditionals[c]
+    """The first violation, or None and the CPS's LCPS.
+
+    `_levels` reads the CPS's LCPS off the rows X_k first. Then one walk
+    over the events in canonical order checks each row against
+    `_conditionings` while every row so far is the conditioning of that
+    LCPS. A row that `_is_conditioning` matches entry for entry is a
+    distribution on C and needs no more. Any other row is checked with
+    `_row_ints` and compared on its integer row (d, n): mu(e|C) * l_k(C) =
+    l_k(e) for the e of C at level k, as n(e) * total = numerator(e) * d.
+    Only those e are tested: when they pass, their masses sum to
+    l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
+    row is a distribution on C. When `_levels` finds no LCPS, some row X_k
+    is not a distribution on its event, and the walk stops at or before it.
+    Only a CPS whose rows are all distributions but not all conditionings
+    reaches the pair scan."""
+    states, conditionals = cps.states, cps.conditionals
+    known = set(states)
+    found = _levels(cps, known)
+    conditionings = _conditionings(found[1], states) if found else None
+    for _, c in _events(states):
+        if conditionings is not None:
+            at_k, total = next(conditionings)
+            if _is_conditioning(conditionals.get(c), at_k, total):
+                continue
+        ints = _row_ints(conditionals, c, known)
+        if type(ints) is CpsViolation:
+            return ints, None
+        if conditionings is not None:
+            d, n = ints
+            if any(n.get(e, 0) * total != x * d for e, x in at_k):
+                conditionings = None
+    if conditionings is not None:
+        return None, found[0]
+    # Every row is now a distribution on its event. The pair condition
+    # mu(e|C) * mu(f|D) = mu(f|C) * mu(e|D) is tested on integer rows, the
+    # lcms of the two rows cancelling from both sides.
+    pairs = {pair: _row_ints(conditionals, frozenset(pair), known)[1]
+             for pair in combinations(states, 2)}
+    for combo, c in _events(states):
         # At |C| = 2 the one pair is C itself, whose condition holds trivially.
-        for e, f in combinations(sorted(c, key=order.get), 2):
-            d = frozenset((e, f))
-            me, mf, row_d = row_c.get(e, ZERO), row_c.get(f, ZERO), cps.conditionals[d]
-            if me * row_d.get(f, ZERO) != mf * row_d.get(e, ZERO):
-                return CpsViolation(c, d, e, me, row_d.get(e, ZERO) * mass_of(row_c, d)), None
-    return None, lcps
+        if len(combo) < 3:
+            continue
+        n_c = _row_ints(conditionals, c, known)[1]
+        for e, f in combinations(combo, 2):
+            n_d = pairs[e, f]
+            if n_c.get(e, 0) * n_d.get(f, 0) != n_c.get(f, 0) * n_d.get(e, 0):
+                row_c, d = conditionals[c], frozenset((e, f))
+                rhs = conditionals[d].get(e, ZERO) * mass_of(row_c, d)
+                return CpsViolation(c, d, e, row_c.get(e, ZERO), rhs), None
+    return None, found[0]
 
 
-def _levels(cps: CompleteCps) -> list[Distribution]:
+def _is_conditioning(
+    row: Distribution | None, at_k: tuple[tuple[str, int], ...], total: int
+) -> bool:
+    """True if the row holds exactly the states of `at_k`, each at an exact
+    Fraction p/q with p * total = n * q for its numerator n: the masses
+    n/total are positive and sum to 1 on C, so the row is a distribution on
+    C and the conditioning there. False says nothing: `_row_ints` decides."""
+    if row is None or len(row) != len(at_k):
+        return False
+    for e, x in at_k:
+        m = row.get(e)
+        if type(m) is not Fraction:
+            return False
+        p, q = _pair(m)
+        if p * total != x * q:
+            return False
+    return True
+
+
+def _row_ints(
+    conditionals: dict[frozenset[str], Distribution], c: frozenset[str], known: set[str]
+) -> tuple[int, dict[str, int]] | CpsViolation:
+    """The integer row (d, n) of the row on C (`_integer_row`: d the lcm of
+    its denominators, n its nonzero numerators over d, in row order), once
+    it is a distribution on C: no negative n, n summing to d, and all of it
+    on C; otherwise the row's violation. Raises InputError for a missing
+    row, a non-rational mass or a state outside the CPS."""
+    try:
+        row = conditionals[c]
+    except KeyError:
+        raise InputError(f"missing subset entry {sorted(c)}") from None
+    if _exact(row.values()):
+        d, n = _exact_row(row)
+    else:
+        for s, m in row.items():
+            _require_rational(m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError)
+        d, n = _integer_row(row)
+    if min(n.values(), default=0) < 0:
+        return CpsViolation(c, None, None, min(row.values()), ZERO)
+    if not known.issuperset(row):
+        raise InputError(f"row {sorted(c)} has unknown states")
+    # A row on C sums to its mass on C, so only a row reaching outside C
+    # is summed twice.
+    if sum(n.values()) != d or (
+        not c.issuperset(n) and sum([x for s, x in n.items() if s in c]) != d
+    ):
+        return CpsViolation(c, None, None, mass_of(row, c), ONE)
+    return d, n
+
+
+def _levels(
+    cps: CompleteCps, known: set[str]
+) -> tuple[Lcps, dict[str, tuple[int, int]]] | None:
     """Walk the decreasing chain of never-yet-explained events X_0 = S,
-    X_1, ...; level k is the positive part of mu(.|X_k). Every row being a
-    distribution on its event, each level explains at least one state, sums
-    to 1 and lies in X_k, so every state is positive at exactly one level:
-    the levels form a valid LCPS."""
+    X_1, ...; level k is the positive part of mu(.|X_k). When every row
+    X_k is a distribution on its event (`_row_ints`), each level explains
+    at least one state, sums to 1 and lies in X_k, so every state is
+    positive at exactly one level: the levels form a valid LCPS. Returns it
+    with its integer view, as `Lcps._view` holds it: each state's level k
+    and its numerator over the lcm of row X_k's denominators. Returns None
+    when some row X_k is not such a distribution."""
     levels: list[Distribution] = []
+    view: dict[str, tuple[int, int]] = {}
     current = frozenset(cps.states)
-    explained: set[str] = set()
     while current:
-        level = {s: m for s, m in cps.conditionals[current].items() if m > 0}
-        levels.append(level)
-        explained |= level.keys()
-        current = frozenset(s for s in cps.states if s not in explained)
-    return levels
+        try:
+            ints = _row_ints(cps.conditionals, current, known)
+        except InputError:
+            return None
+        if type(ints) is CpsViolation:
+            return None
+        row, k = cps.conditionals[current], len(levels)
+        levels.append({s: row[s] for s in ints[1]})  # the positive masses, in row order
+        for s, x in ints[1].items():
+            view[s] = k, x
+        current = frozenset(s for s in cps.states if s not in view)
+    return Lcps(tuple(levels)), view
 
 
 def _conditionings(
-    lcps: Lcps, states: tuple[str, ...]
-) -> Iterator[tuple[frozenset[str], list[tuple[str, int]], int]]:
-    """For each nonempty C in canonical order (as `CompleteCps.subsets`):
-    C, the states of C at the first level k explaining C, in state order,
-    with their numerators over level k's lcm (the LCPS's integer view), and
-    the total of those numerators. The conditioning at C of the LCPS is
-    then n/total at each of these states and 0 on the rest of C."""
-    view = lcps._view
+    view: dict[str, tuple[int, int]], states: tuple[str, ...]
+) -> Iterator[tuple[tuple[tuple[str, int], ...], int]]:
+    """For each nonempty C in canonical order (as `_events`): the states of
+    C at the first level k explaining C, in state order, with their
+    numerators over level k's lcm (an LCPS's integer view), and the total of
+    those numerators. The conditioning at C of the LCPS is then n/total at
+    each of these states and 0 on the rest of C.
+
+    Each C of size m is read off its prefix, C without its last state s,
+    which the pass over size m - 1 gave: s starts a new entry if its level
+    comes before the prefix's, joins it if the levels tie, and leaves it
+    unchanged otherwise. So each C costs one step plus a copy of its
+    entry when it grows."""
+    previous: dict[tuple[str, ...], tuple] = {(): (len(states), (), 0)}
     for size in range(1, len(states) + 1):
+        current: dict[tuple[str, ...], tuple] = {}
         for combo in combinations(states, size):
-            k = min([view[s][0] for s in combo])
-            at_k = [(s, view[s][1]) for s in combo if view[s][0] == k]
-            yield frozenset(combo), at_k, sum([n for _, n in at_k])
-
-
-def _represents(cps: CompleteCps, lcps: Lcps) -> bool:
-    """True iff every row is the conditioning of the LCPS:
-    mu(e|C) * l_k(C) = l_k(e) for every C and e in C, with k the first level
-    with l_k(C) > 0, cross-multiplied against `_conditionings`. Only the e
-    of C at level k are tested: when they pass, their masses sum to
-    l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
-    row is a distribution on C."""
-    for c, at_k, total in _conditionings(lcps, cps.states):
-        row = cps.conditionals[c]
-        for e, n in at_k:
-            a, b = _pair(row.get(e, ZERO))
-            if a * total != b * n:
-                return False
-    return True
+            s = combo[-1]
+            k, x = view[s]
+            entry = first = previous[combo[:-1]]
+            if k < first[0]:
+                entry = k, ((s, x),), x
+            elif k == first[0]:
+                entry = k, first[1] + ((s, x),), first[2] + x
+            current[combo] = entry
+            yield entry[1], entry[2]
+        previous = current
 
 
 def lcps_to_cps(lcps: Lcps, states: tuple[str, ...]) -> CompleteCps:
     """Condition the first level explaining each event: n/total at each
-    state of `_conditionings`, in state order."""
+    state of `_conditionings`, in state order. Each distinct n/total is
+    built once and shared by the rows that hold it."""
     validate_lcps(lcps, states)
     cps = CompleteCps(states, {})
-    for c, at_k, total in _conditionings(lcps, states):
-        cps.conditionals[c] = {s: _fraction(n, total) for s, n in at_k}
+    fractions: dict[tuple[int, int], Fraction] = {}
+    for (_, c), (at_k, total) in zip(_events(states), _conditionings(lcps._view, states)):
+        row = cps.conditionals[c] = {}
+        for s, x in at_k:
+            f = fractions.get((x, total))
+            if f is None:
+                f = fractions[x, total] = _fraction(x, total)
+            row[s] = f
     return cps
 
 
@@ -193,8 +293,24 @@ def cps_to_lcps(cps: CompleteCps) -> Lcps:
     """The LCPS `validate_complete_cps` found, once it found no violation."""
     violation, lcps = _check(cps)
     if violation is not None:
-        raise InputError(f"invalid complete CPS: {violation}")
+        raise InputError(f"invalid complete CPS: {_describe(violation, cps.states)}")
     return lcps
+
+
+def _describe(v: CpsViolation, states: tuple[str, ...]) -> str:
+    """The violation in words, each event as its states in state order and
+    each rational as p/q, so the text does not depend on string hashing."""
+
+    def event(x: frozenset[str]) -> str:
+        return "{" + ",".join(s for s in states if s in x) + "}"
+
+    lhs, rhs = str(Fraction(v.lhs)), str(Fraction(v.rhs))
+    if v.d is None and v.rhs == 0:
+        return f"row {event(v.c)} has negative mass {lhs}"
+    if v.d is None:
+        return f"row {event(v.c)} puts mass {lhs} on its event, not 1"
+    c, d = event(v.c), event(v.d)
+    return f"mu({v.e}|{c}) = {lhs}, but mu({v.e}|{d}) * mu({d}|{c}) = {rhs}"
 
 
 @dataclass(frozen=True)

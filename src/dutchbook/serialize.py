@@ -22,10 +22,11 @@ from .model import (
     LearningEnvironment,
     _ReadBeliefs,
     _fraction,
+    _pair,
     build_environment,
 )
 from .consistency import ForwardViolation, Lcps
-from .cps import CompleteCps, SiniscalchiViolation
+from .cps import MAX_CPS_STATES, CompleteCps, SiniscalchiViolation, _events
 from .gambles import AcceptanceReport, BookVerdict, DeterministicVerdict, GambleSystem
 from .odds import CoherenceCertificate, CoherenceViolation, ExtendedRatio, OddsLink
 from .simulate import SimReport
@@ -75,9 +76,19 @@ def _require_keys(doc: Mapping, allowed: set[str], required: set[str], where: st
 
 def _row_to_doc(row: Mapping[str, Fraction], order: Mapping[str, int]) -> dict[str, str]:
     """A sparse row as `{key: "p/q"}`: zero entries and keys outside `order`
-    dropped, the rest ranked by `order`. Costs O(k log k) for k entries."""
-    keys = sorted(filter(order.__contains__, row), key=order.__getitem__)
-    return {k: format_rational(row[k]) for k in keys if row[k] != 0}
+    dropped, the rest ranked by `order`. Costs O(k log k) for k entries. An
+    exact Fraction's zero test and text read its two integers (`_pair`),
+    the text being `format_rational`'s."""
+    out = {}
+    for k in sorted(filter(order.__contains__, row), key=order.__getitem__):
+        m = row[k]
+        if type(m) is Fraction:
+            p, q = _pair(m)
+            if p:
+                out[k] = f"{p}/{q}" if q != 1 else str(p)
+        elif m != 0:
+            out[k] = format_rational(m)
+    return out
 
 
 class _Pairs(dict):
@@ -251,11 +262,18 @@ def lcps_to_doc(lcps: Lcps, states: tuple[str, ...]) -> dict:
 
 
 def cps_from_doc(doc: Any) -> CompleteCps:
+    """The CPS of the document. The key with the most `,` names the states,
+    in its order; the distinct states it names are checked against
+    `MAX_CPS_STATES` before any event is read. Then each key is split at `,`
+    once."""
     _require_keys(doc, {"conditionals"}, {"conditionals"}, "cps")
     table = doc["conditionals"]
     if not isinstance(table, dict) or not table:
         raise InputError("cps.conditionals: expected a nonempty object")
-    states = tuple(max(table, key=lambda k: len(k.split(","))).split(","))
+    states = tuple(max(table, key=lambda key: key.count(",")).split(","))
+    known = set(states)
+    if len(known) > MAX_CPS_STATES:
+        raise InputError(f"CPS limited to {MAX_CPS_STATES} states")
     conditionals, memo = {}, _Memo()
     for key, row in table.items():
         subset = key.split(",")
@@ -264,7 +282,7 @@ def cps_from_doc(doc: Any) -> CompleteCps:
             raise InputError(f"cps key {key!r} repeats a state")
         if event in conditionals:
             raise InputError(f"cps key {key!r} names an event already given")
-        if not event.issubset(states):
+        if not event <= known:
             raise InputError(f"cps key {key!r} has states outside {states}")
         conditionals[event] = _rational_row(row, memo, "cps", key)
     expected = (1 << len(states)) - 1
@@ -276,14 +294,17 @@ def cps_from_doc(doc: Any) -> CompleteCps:
 
 
 def cps_to_doc(cps: CompleteCps) -> dict:
+    """One walk over the events in canonical order: each key joins the
+    event's states, already in state order."""
     for s in cps.states:
         if "," in s:
             raise InputError(f"cps state {s!r} contains ',', the cps key separator")
     order = {s: i for i, s in enumerate(cps.states)}
+    conditionals = cps.conditionals
     return {
         "conditionals": {
-            ",".join(sorted(c, key=order.get)): _row_to_doc(cps.conditionals[c], order)
-            for c in cps.subsets()
+            ",".join(combo): _row_to_doc(conditionals[c], order)
+            for combo, c in _events(cps.states)
         }
     }
 

@@ -1,6 +1,9 @@
 """End-to-end CLI tests against the canonical JSON files in tests/data."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,6 +444,30 @@ class TestErrorHandling:
         assert code == 2
         assert payload["error"]["code"] == "input"
         assert repr(key) in payload["error"]["message"]
+
+    def test_invalid_cps_message_does_not_depend_on_string_hashing(self, tmp_path):
+        # A frozenset of strings iterates in an order set by PYTHONHASHSEED;
+        # seeds 0 and 2 order {'a', 'b'} differently, so a message holding
+        # the repr of an event would differ between the two runs.
+        cps = tmp_path / "cps.json"
+        cps.write_text(json.dumps({"conditionals": {
+            "a": {"a": "1"}, "b": {"b": "1"}, "a,b": {"a": "2", "b": "-1"}}}))
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "dutchbook.cli", "to-lcps", "--cps", str(cps)],
+                capture_output=True, check=False,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            )
+            assert done.returncode == 2, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["error"] == {
+            "code": "input",
+            "message": "invalid complete CPS: row {a,b} has negative mass -1",
+            "location": None,
+        }
 
     def test_to_cps_rejects_a_state_with_a_comma(self, capsys, tmp_path):
         lcps = tmp_path / "lcps.json"

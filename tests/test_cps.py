@@ -23,8 +23,10 @@ from dutchbook import (
 from dutchbook.errors import InputError, NonUniformReach
 from dutchbook.model import ONE, ZERO, mass_of
 from dutchbook import cps as cps_module
+from dutchbook import serialize as sz
 from dutchbook import fixtures as fx
 
+import conftest
 from conftest import random_environment, random_lcps, weights
 from test_odds import coherence_instances
 
@@ -122,6 +124,40 @@ class TestCpsToLcps:
         cps.conditionals[frozenset({"ma", "pa"})] = {"ma": F(2, 3), "pa": F(1, 3)}
         with pytest.raises(InputError, match="invalid complete CPS"):
             cps_to_lcps(cps)
+
+
+class TestInvalidCpsMessage:
+    """`cps_to_lcps` words a violation with events in state order and
+    rationals as p/q, never with the repr of a frozenset."""
+
+    def test_negative_mass(self):
+        cps = CompleteCps(("b", "a"), {
+            frozenset("a"): {"a": F(1)},
+            frozenset("b"): {"b": F(1)},
+            frozenset("ab"): {"a": F(3, 2), "b": F(-1, 2)},
+        })
+        with pytest.raises(InputError) as caught:
+            cps_to_lcps(cps)
+        assert str(caught.value) == "invalid complete CPS: row {b,a} has negative mass -1/2"
+
+    def test_mass_off_the_event(self):
+        cps = lcps_to_cps(fx.lex_lcps(), STATES)
+        cps.conditionals[frozenset({"ma", "pa"})] = {"ma": F(1, 2), "sq": F(1, 2)}
+        with pytest.raises(InputError) as caught:
+            cps_to_lcps(cps)
+        assert str(caught.value) == (
+            "invalid complete CPS: row {ma,pa} puts mass 1/2 on its event, not 1"
+        )
+
+    def test_chain_rule(self):
+        cps = lcps_to_cps(Lcps(({"sq": F(1, 3), "ma": F(1, 3), "pa": F(1, 3)},)), STATES)
+        cps.conditionals[frozenset({"ma", "pa"})] = {"ma": F(2, 3), "pa": F(1, 3)}
+        with pytest.raises(InputError) as caught:
+            cps_to_lcps(cps)
+        assert str(caught.value) == (
+            "invalid complete CPS: mu(ma|{sq,ma,pa}) = 1/3, "
+            "but mu(ma|{ma,pa}) * mu({ma,pa}|{sq,ma,pa}) = 4/9"
+        )
 
 
 def sparse_lcps(rng, states):
@@ -319,6 +355,78 @@ def tampered_cps(rng):
     for c in rng.sample(wide, min(len(wide), rng.randint(0, 3))):
         cps.conditionals[c] = weights(rng, sorted(c), full_support=rng.random() < 0.5)
     return cps
+
+
+def cps_document(rng, cps):
+    """`cps` as a document with its events in shuffled order, each key
+    listing the event's states in shuffled order and each row its entries in
+    shuffled order, with explicit zeros at some states inside the event and
+    outside it. One time in four, the row of one event other than S moves
+    1/2, 1 or 3/2 from a state inside the event to one outside it, so the
+    row has a negative mass or mass off its event: a row violation."""
+    rows = {c: dict(row) for c, row in cps.conditionals.items()}
+    narrow = [c for c in rows if len(c) < len(cps.states)]
+    if narrow and rng.random() < 0.25:
+        c = rng.choice(sorted(narrow, key=lambda c: sorted(map(cps.states.index, c))))
+        inside = rng.choice([s for s in cps.states if s in c])
+        outside = rng.choice([s for s in cps.states if s not in c])
+        moved = rng.choice((Fraction(1, 2), ONE, Fraction(3, 2)))
+        rows[c][inside] = rows[c].get(inside, ZERO) - moved
+        rows[c][outside] = moved
+    table = {}
+    for c in rng.sample(list(cps.subsets()), len(rows)):
+        row = rows[c]
+        for s in rng.sample(cps.states, rng.randint(0, len(cps.states))):
+            row.setdefault(s, ZERO)
+        names = [s for s in cps.states if s in c]
+        rng.shuffle(names)
+        table[",".join(names)] = {s: str(row[s]) for s in rng.sample(list(row), len(row))}
+    return {"conditionals": table}
+
+
+def positive_rows(cps):
+    return {c: {s: m for s, m in row.items() if m > 0} for c, row in cps.conditionals.items()}
+
+
+class TestDocumentsMatchReferences:
+    def test_read_validate_convert_and_write(self, monkeypatch):
+        drawn = []  # the LCPS each `tampered_cps` call draws
+
+        def recorded_lcps(rng, states):
+            drawn.append(conftest.random_lcps(rng, states))
+            return drawn[-1]
+
+        monkeypatch.setitem(globals(), "random_lcps", recorded_lcps)
+        rng, seen = random.Random(0xD0C), Counter()
+        for _ in range(600):
+            cps = tampered_cps(rng)
+            read = sz.cps_from_doc(cps_document(rng, cps))
+            assert sorted(read.states) == sorted(cps.states)
+            outcome = validate_complete_cps(read)
+            assert repr(outcome) == repr(reference_validate_complete_cps(read))
+            again = sz.cps_from_doc(sz.cps_to_doc(read))
+            assert again.states == read.states
+            assert again.conditionals == {
+                c: {s: m for s, m in row.items() if m != 0} for c, row in read.conditionals.items()
+            }
+            if outcome is not None:
+                seen["row violation" if outcome.d is None else "chain-rule violation"] += 1
+                with pytest.raises(InputError, match="^invalid complete CPS: "):
+                    cps_to_lcps(read)
+                continue
+            # A valid CPS has exactly one LCPS, whose conditionings are its rows.
+            lcps = cps_to_lcps(read)
+            assert reference_lcps_to_cps(lcps, read.states) == positive_rows(read)
+            source = drawn[-1]
+            if reference_lcps_to_cps(source, read.states) == positive_rows(read):
+                assert lcps.levels == tuple(
+                    {s: m for s, m in level.items() if m > 0} for level in source.levels
+                )
+                seen["valid, the source LCPS"] += 1
+            else:
+                seen["valid, another LCPS"] += 1
+        assert seen["row violation"] >= 80 and seen["chain-rule violation"] >= 120, seen
+        assert seen["valid, the source LCPS"] >= 120 and seen["valid, another LCPS"] >= 25, seen
 
 
 def uniform_reach_environment(rng):

@@ -144,6 +144,19 @@ class TestLcpsCpsDocs:
         with pytest.raises(InputError, match="conditioning events"):
             sz.cps_from_doc(doc)
 
+    def test_cps_checks_the_state_limit_before_counting_events(self):
+        # One key of 17 states: the reader would otherwise ask for 2^17 - 1
+        # events, a CPS it then refuses.
+        states = [f"s{i}" for i in range(17)]
+        doc = {"conditionals": {"s0": {"s0": "1"}, ",".join(states): {"s0": "1"}}}
+        with pytest.raises(InputError, match=r"^CPS limited to 16 states$"):
+            sz.cps_from_doc(doc)
+        # A longest key of 17 copies of one state names one state, so it is
+        # told that it repeats a state, not that it is over the limit.
+        doc = {"conditionals": {"a": {"a": "1"}, ",".join(["a"] * 17): {"a": "1"}}}
+        with pytest.raises(InputError, match=r"cps key 'a(,a){16}' repeats a state"):
+            sz.cps_from_doc(doc)
+
     def test_cps_rejects_a_key_that_repeats_a_state(self):
         # "a,a" would otherwise stand in for the event {a}.
         doc = {"conditionals": {"a,b": {"a": "1"}, "a,a": {"a": "1"}, "b": {"b": "1"}}}
