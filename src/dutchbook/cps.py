@@ -16,10 +16,9 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
-    _exact,
-    _exact_row,
     _fraction,
     _integer_row,
+    _is_rational_type,
     _pair,
     _require_rational,
     is_uniform_reach,
@@ -194,12 +193,10 @@ def _row_ints(
         row = conditionals[c]
     except KeyError:
         raise InputError(f"missing subset entry {sorted(c)}") from None
-    if _exact(row.values()):
-        d, n = _exact_row(row)
-    else:
+    if not all(map(_is_rational_type, map(type, row.values()))):
         for s, m in row.items():
             _require_rational(m, "row %s: non-rational mass at %r", sorted(c), s, error=InputError)
-        d, n = _integer_row(row)
+    d, n = _integer_row(row)
     if min(n.values(), default=0) < 0:
         return CpsViolation(c, None, None, min(row.values()), ZERO)
     if not known.issuperset(row):
@@ -373,7 +370,7 @@ def check_siniscalchi(
             later.update(hs)
         for b in sorted(later, key=index.__getitem__):
             o = supports[a] & supports[b]
-            to_a, to_b = _mass(mu[a], o), _mass(mu[b], o)
+            to_a, to_b = _pair(mass_of(mu[a], o)), _pair(mass_of(mu[b], o))
             links[a].append((b, *to_b, *to_a))
             links[b].append((a, *to_a, *to_b))
     # Every overlap is listed from both sides, so this reads every overlap mass.
@@ -408,10 +405,6 @@ def check_siniscalchi(
                             mu[last].get(s, ZERO) * _fraction(rn, rd),
                         )
     return None
-
-
-def _mass(row: Distribution, keys: frozenset[str]) -> tuple[int, int]:
-    return _pair(mass_of(row, keys))
 
 
 def _end_states(env, row_first, row_last, ends) -> list[tuple[str, int, int]]:

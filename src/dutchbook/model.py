@@ -112,26 +112,15 @@ def _exact_sum(values: Iterable[Rational]) -> Fraction:
     return _fraction(n, d)
 
 
-def _exact(values: Iterable[object]) -> bool:
-    """True iff every value is exactly a Fraction, so its slots can be read."""
-    return set(map(type, values)) <= {Fraction}
-
-
 def _integer_row(row: Mapping[str, Rational]) -> tuple[int, dict[str, int]]:
     """(d, n) for a row of rational masses: d the lcm of the denominators and
-    n = {s: row[s]*d} for each nonzero mass, in row order."""
-    if _exact(row.values()):
-        return _exact_row(row)
+    n = {s: row[s]*d} for each nonzero mass, in row order. When every mass is
+    exactly a Fraction, its slots are read directly."""
+    if set(map(type, row.values())) <= {Fraction}:
+        d = lcm(*[m._denominator for m in row.values()])
+        return d, {s: x for s, m in row.items() if (x := m._numerator * (d // m._denominator))}
     d = lcm(*[m.denominator for m in row.values()])
     return d, {s: x for s, m in row.items() if (x := m.numerator * (d // m.denominator))}
-
-
-def _exact_row(row: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
-    """`_integer_row` of a row whose values are all exactly Fractions. Called
-    directly by `_belief_rows`, which has already read the types of every row
-    at once and so skips `_integer_row`'s scan of each row's types."""
-    d = lcm(*[m._denominator for m in row.values()])
-    return d, {s: x for s, m in row.items() if (x := m._numerator * (d // m._denominator))}
 
 
 def _quotients(
@@ -414,16 +403,13 @@ def _belief_rows(
     positive mass outside S(h)), or else its integer row (d, n) in the view.
 
     A `_ReadBeliefs` brings its integer rows, whose masses are all rational,
-    and no Fraction of it is read. Otherwise mass types are checked once over
-    all rows, and row by row only when that check fails; each row is turned
-    into integers once, and its sums and signs are read from those integers."""
+    and no Fraction of it is read. Otherwise each row's mass types are
+    checked when the loop reaches it, and the row is turned into integers
+    once by `_integer_row`; its sums and signs are read from those integers."""
     if type(mu) is _ReadBeliefs:
         rows, ints = [mu._pairs.get(h) for h in env.reach], mu._ints
     else:
         rows, ints = [mu.get(h) for h in env.reach], None
-        types = {type(m) for row in rows if row for m in row.values()}
-        rational = all(map(_is_rational_type, types))
-        exact = types <= {Fraction}
     problems: list[tuple[str, str]] = []
     if len(mu) != len(rows) - rows.count(None):  # some key of mu is no contingency
         problems = [(h, "unknown contingency") for h in mu if h not in env.reach]
@@ -439,11 +425,11 @@ def _belief_rows(
             continue
         if ints is not None:
             d, n = ints[h]
-        elif not rational and not all(_is_rational_type(type(m)) for m in row.values()):
+        elif not all(map(_is_rational_type, map(type, row.values()))):
             problems.append((h, "non-rational mass"))
             continue
         else:
-            d, n = _exact_row(row) if exact else _integer_row(row)
+            d, n = _integer_row(row)
         total = sum(n.values())
         if total != d or min(n.values()) < 0:
             negative = any(x < 0 for x in n.values())

@@ -295,18 +295,22 @@ def cps_from_doc(doc: Any) -> CompleteCps:
 
 def cps_to_doc(cps: CompleteCps) -> dict:
     """One walk over the events in canonical order: each key joins the
-    event's states, already in state order."""
+    event's states, already in state order. A missing event raises
+    InputError, worded as `cps._row_ints` words it."""
     for s in cps.states:
         if "," in s:
             raise InputError(f"cps state {s!r} contains ',', the cps key separator")
     order = {s: i for i, s in enumerate(cps.states)}
     conditionals = cps.conditionals
-    return {
-        "conditionals": {
-            ",".join(combo): _row_to_doc(conditionals[c], order)
-            for combo, c in _events(cps.states)
+    try:
+        return {
+            "conditionals": {
+                ",".join(combo): _row_to_doc(conditionals[c], order)
+                for combo, c in _events(cps.states)
+            }
         }
-    }
+    except KeyError as exc:  # the only lookup that can miss is conditionals[c]
+        raise InputError(f"missing subset entry {sorted(exc.args[0])}") from None
 
 
 # ------------------------------------------------------------------- verdicts

@@ -469,6 +469,18 @@ class TestErrorHandling:
             "location": None,
         }
 
+    def test_to_lcps_rejects_a_row_with_unknown_states(self, capsys, tmp_path):
+        # Row {b} holds "zz", a state of no CPS key; its mass 0 keeps the
+        # row a distribution, so only the state check refuses it.
+        cps = tmp_path / "cps.json"
+        cps.write_text(json.dumps({"conditionals": {
+            "a": {"a": "1"}, "b": {"b": "1", "zz": "0"}, "a,b": {"a": "1/2", "b": "1/2"}}}))
+        code, payload = run(capsys, "to-lcps", "--cps", cps)
+        assert code == 2
+        assert payload["error"] == {
+            "code": "input", "message": "row ['b'] has unknown states", "location": None,
+        }
+
     def test_to_cps_rejects_a_state_with_a_comma(self, capsys, tmp_path):
         lcps = tmp_path / "lcps.json"
         lcps.write_text(json.dumps({"levels": [{"a,b": "1"}, {"c": "1"}]}))

@@ -68,6 +68,10 @@ class TestForest:
         with pytest.raises(InvalidEnvironment):
             ContingencyForest(["a"], {"a": "zz"})
 
+    def test_rejects_unknown_child(self):
+        with pytest.raises(InvalidEnvironment, match=r"^unknown contingency 'zz' in parent map$"):
+            ContingencyForest(["a"], {"zz": "a"})
+
 
 def reference_chains(nodes, parent):
     """The per-node walk to the root that the walk down from the roots

@@ -139,6 +139,17 @@ class TestLcpsCpsDocs:
         with pytest.raises(InputError, match=r"cps state 'a,b' contains ','"):
             sz.cps_to_doc(cps)
 
+    def test_cps_writer_names_a_missing_event(self):
+        # Worded as a CPS check words it, not a KeyError whose frozenset
+        # repr follows the string hash.
+        from dutchbook import CompleteCps
+
+        with pytest.raises(InputError, match=r"^missing subset entry \['a'\]$"):
+            sz.cps_to_doc(CompleteCps(("a", "b"), {}))
+        cps = CompleteCps(("b", "a"), {frozenset("b"): {"b": F(1)}, frozenset("a"): {"a": F(1)}})
+        with pytest.raises(InputError, match=r"^missing subset entry \['a', 'b'\]$"):
+            sz.cps_to_doc(cps)
+
     def test_cps_requires_all_events(self):
         doc = {"conditionals": {"a,b": {"a": "1"}, "a": {"a": "1"}}}
         with pytest.raises(InputError, match="conditioning events"):
