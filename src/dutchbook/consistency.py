@@ -244,14 +244,14 @@ def check_forward_consistency(
     Only pairs of the last kind can be yielded, so a system without bad
     edges is consistent after one pass costing sum |S(c)| over the edges.
     """
-    return next(forward_violations(env, mu), None)
+    return next(forward_violations(env, require_valid_beliefs(env, mu)), None)
 
 
-def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[ForwardViolation]:
+def forward_violations(env: LearningEnvironment, view: _BeliefView) -> Iterator[ForwardViolation]:
     """Each comparable pair (h, h') with mu(S(h')|h) > 0 whose mu(.|h') is not
     mu(.|h) conditioned on S(h'), in canonical order, witnessed by its first
-    mismatching state. The beliefs are validated by `require_valid_beliefs`,
-    the one validation pass, when the first pair is asked for.
+    mismatching state. The caller validates the beliefs: `view` is the
+    integer view `require_valid_beliefs` returned.
 
     Pairs are compared on the integer view: with rows (d, n) at h and
     (d', n') at h', M = sum of n(s) over S(h') is mu(S(h')|h) times d, and
@@ -266,7 +266,6 @@ def forward_violations(env: LearningEnvironment, mu: BeliefSystem) -> Iterator[F
     such (h, c) violates at the edge's first mismatching state (third
     bullet); it is checked explicitly, like the pairs (h, d) below c.
     """
-    view = require_valid_beliefs(env, mu)
     forest, states = env.forest, env.consistent_states
 
     def conditioning(h: str, hp: str) -> tuple[int, str | None]:

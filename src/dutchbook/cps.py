@@ -16,6 +16,7 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _BeliefView,
     _fraction,
     _integer_row,
     _is_rational_type,
@@ -114,11 +115,12 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
 
     `_levels` reads the CPS's LCPS off the rows X_k first. Then one walk
     over the events in canonical order checks each row against
-    `_conditionings` while every row so far is the conditioning of that
-    LCPS. A row that `_is_conditioning` matches entry for entry is a
-    distribution on C and needs no more. Any other row is checked with
-    `_row_ints` and compared on its integer row (d, n): mu(e|C) * l_k(C) =
-    l_k(e) for the e of C at level k, as n(e) * total = numerator(e) * d.
+    `_conditionings` of its `Lcps._view` while every row so far is the
+    conditioning of that LCPS. A row that `_is_conditioning` matches entry
+    for entry is a distribution on C and needs no more. Any other row is
+    checked with `_row_ints` and compared on its integer row (d, n):
+    mu(e|C) * l_k(C) = l_k(e) for the e of C at level k, as
+    n(e) * total = numerator(e) * d.
     Only those e are tested: when they pass, their masses sum to
     l_k(C)/l_k(C) = 1, which leaves 0 = l_k(e) for the rest of C, as the
     row is a distribution on C. When `_levels` finds no LCPS, some row X_k
@@ -127,8 +129,8 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
     reaches the pair scan."""
     states, conditionals = cps.states, cps.conditionals
     known = set(states)
-    found = _levels(cps, known)
-    conditionings = _conditionings(found[1], states) if found else None
+    lcps = _levels(cps, known)
+    conditionings = _conditionings(lcps._view, states) if lcps is not None else None
     for _, c in _events(states):
         if conditionings is not None:
             at_k, total = next(conditionings)
@@ -142,7 +144,7 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
             if any(n.get(e, 0) * total != x * d for e, x in at_k):
                 conditionings = None
     if conditionings is not None:
-        return None, found[0]
+        return None, lcps
     # Every row is now a distribution on its event. The pair condition
     # mu(e|C) * mu(f|D) = mu(f|C) * mu(e|D) is tested on integer rows, the
     # lcms of the two rows cancelling from both sides.
@@ -159,7 +161,7 @@ def _check(cps: CompleteCps) -> tuple[CpsViolation | None, Lcps | None]:
                 row_c, d = conditionals[c], frozenset((e, f))
                 rhs = conditionals[d].get(e, ZERO) * mass_of(row_c, d)
                 return CpsViolation(c, d, e, row_c.get(e, ZERO), rhs), None
-    return None, found[0]
+    return None, lcps
 
 
 def _is_conditioning(
@@ -210,19 +212,14 @@ def _row_ints(
     return d, n
 
 
-def _levels(
-    cps: CompleteCps, known: set[str]
-) -> tuple[Lcps, dict[str, tuple[int, int]]] | None:
+def _levels(cps: CompleteCps, known: set[str]) -> Lcps | None:
     """Walk the decreasing chain of never-yet-explained events X_0 = S,
     X_1, ...; level k is the positive part of mu(.|X_k). When every row
     X_k is a distribution on its event (`_row_ints`), each level explains
     at least one state, sums to 1 and lies in X_k, so every state is
-    positive at exactly one level: the levels form a valid LCPS. Returns it
-    with its integer view, as `Lcps._view` holds it: each state's level k
-    and its numerator over the lcm of row X_k's denominators. Returns None
-    when some row X_k is not such a distribution."""
+    positive at exactly one level: the levels form a valid LCPS, which is
+    returned. Returns None when some row X_k is not such a distribution."""
     levels: list[Distribution] = []
-    view: dict[str, tuple[int, int]] = {}
     current = frozenset(cps.states)
     while current:
         try:
@@ -231,12 +228,10 @@ def _levels(
             return None
         if type(ints) is CpsViolation:
             return None
-        row, k = cps.conditionals[current], len(levels)
+        row = cps.conditionals[current]
         levels.append({s: row[s] for s in ints[1]})  # the positive masses, in row order
-        for s, x in ints[1].items():
-            view[s] = k, x
-        current = frozenset(s for s in cps.states if s not in view)
-    return Lcps(tuple(levels)), view
+        current = current.difference(ints[1])
+    return Lcps(tuple(levels))
 
 
 def _conditionings(
@@ -337,9 +332,11 @@ def check_siniscalchi(
       every extension of it, so the walk does not extend it.
     - Any other E is a sum of singletons, whose equations already hold.
     When every overlap mass is positive, `_potentials_hold` may first show
-    that no sequence fails, and then the walk is skipped.
+    that no sequence fails, and then the walk is skipped. Both read only
+    the integer view that `require_valid_beliefs` returns; a Fraction is
+    built only for a violation's two sides.
     """
-    require_valid_beliefs(env, mu)
+    view = require_valid_beliefs(env, mu)
     if not is_uniform_reach(env):
         raise NonUniformReach("generalized chain rule requires uniform reach")
     contingencies = env.forest.nodes
@@ -370,12 +367,12 @@ def check_siniscalchi(
             later.update(hs)
         for b in sorted(later, key=index.__getitem__):
             o = supports[a] & supports[b]
-            to_a, to_b = _pair(mass_of(mu[a], o)), _pair(mass_of(mu[b], o))
+            to_a, to_b = _overlap_mass(view[a], o), _overlap_mass(view[b], o)
             links[a].append((b, *to_b, *to_a))
             links[b].append((a, *to_a, *to_b))
     # Every overlap is listed from both sides, so this reads every overlap mass.
     positive = all(to_b for out in links.values() for _, to_b, _, _, _ in out)
-    if positive and _potentials_hold(env, mu, links):
+    if positive and _potentials_hold(env, view, links):
         return None
     ends: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
     back = {a: out[::-1] for a, out in links.items()}
@@ -393,32 +390,33 @@ def check_siniscalchi(
                     continue
                 last = seq[-1]
                 if (first, last) not in ends:
-                    ends[first, last] = _end_states(
-                        env, mu[first], mu[last], supports[first] & supports[last]
-                    )
+                    # mu(s|first) * ln/ld = mu(s|last) * rn/rd iff x * left = y * right
+                    (df, nf), (dl, nl) = view[first], view[last]
+                    ends[first, last] = [
+                        (s, nf.get(s, 0) * dl, nl.get(s, 0) * df)
+                        for s in sorted(supports[first] & supports[last], key=env.state_index.get)
+                    ]
                 left, right = ln * rd, rn * ld
                 for s, x, y in ends[first, last]:
                     if x * left != y * right:
+                        (df, nf), (dl, nl) = view[first], view[last]
                         return SiniscalchiViolation(
                             seq, (s,),
-                            mu[first].get(s, ZERO) * _fraction(ln, ld),
-                            mu[last].get(s, ZERO) * _fraction(rn, rd),
+                            _fraction(nf.get(s, 0) * ln, df * ld),
+                            _fraction(nl.get(s, 0) * rn, dl * rd),
                         )
     return None
 
 
-def _end_states(env, row_first, row_last, ends) -> list[tuple[str, int, int]]:
-    """(s, a*d, c*b) for each end state s in state order, where
-    mu(s|first) = a/b and mu(s|last) = c/d."""
-    out = []
-    for s in sorted(ends, key=env.state_index.get):
-        (a, b), (c, d) = _pair(row_first.get(s, ZERO)), _pair(row_last.get(s, ZERO))
-        out.append((s, a * d, c * b))
-    return out
+def _overlap_mass(row: tuple[int, dict[str, int]], o: frozenset[str]) -> tuple[int, int]:
+    """mu(O|h) in lowest terms from h's integer row (d, n): sum of n over O, over d."""
+    x = sum([row[1].get(s, 0) for s in o])
+    g = gcd(x, row[0])
+    return x // g, row[0] // g
 
 
 def _potentials_hold(
-    env: LearningEnvironment, mu: BeliefSystem, links: dict[str, list[tuple]]
+    env: LearningEnvironment, view: _BeliefView, links: dict[str, list[tuple]]
 ) -> bool:
     """True only if no sequence breaks the chain rule, given links whose
     overlap masses are all positive.
@@ -455,10 +453,9 @@ def _potentials_hold(
     scaled: dict[str, tuple[int, int]] = {}  # s -> c(s) = mu(s|h)/phi(h)
     for h, states in env.consistent_states.items():
         p, q = phi[h]
-        row = mu[h]
+        dh, nh = view[h]
         for s in states:
-            a, b = _pair(row.get(s, ZERO))
-            n, d = a * q, b * p
+            n, d = nh.get(s, 0) * q, dh * p
             if s not in scaled:
                 scaled[s] = n, d
             elif n * scaled[s][1] != scaled[s][0] * d:

@@ -14,10 +14,12 @@ from .model import (
     LearningEnvironment,
     ONE,
     ZERO,
+    _BeliefView,
     _exact_sum,
+    _fraction,
     _require_rational,
     has_deterministic_continuation,
-    mass_of,
+    require_valid_beliefs,
 )
 from .consistency import (
     ForwardViolation,
@@ -95,7 +97,8 @@ def accepts_system(
 ) -> AcceptanceReport:
     """Per-contingency acceptance of every gamble; mu is not validated. A
     contingency without a gamble has expectation 0 and accepts whatever
-    mu(.|h) is, so its belief row is not read."""
+    mu(.|h) is, so its belief row is not read and nothing is summed. Masses
+    and payoffs are checked once, so the expectation is summed directly."""
     _check_supports(env, g)
     detail: dict[str, tuple[Fraction, bool]] = {}
     for h in env.forest.nodes:
@@ -103,7 +106,7 @@ def accepts_system(
         belief = mu[h] if gamble else {}
         for s in gamble:
             _require_rational(belief.get(s, ZERO), "mu[%r]: non-rational mass at %r", h, s)
-        value = expected_payoff(belief, gamble)
+        value = _exact_sum(belief.get(s, ZERO) * x for s, x in gamble.items()) if gamble else ZERO
         detail[h] = (value, _accepts(value, belief, gamble))
     return AcceptanceReport(all(ok for _, ok in detail.values()), detail)
 
@@ -264,26 +267,24 @@ def dutch_book_synthesis(
 
 def _deterministic_witness_pair(
     env: LearningEnvironment,
-    mu: BeliefSystem,
+    view: _BeliefView,
     violations: Iterable[ForwardViolation],
 ) -> tuple[str, str, str, str, Fraction, Fraction] | None:
     """Find (h, h', s, s') with both odds finite and x = odds at h strictly
     above y = odds at h', scanning the violating comparable pairs
-    `violations` in order. The odds are Fractions for int masses too."""
+    `violations` in order, on the integer view: d cancels from each row's odds,
+    and only the chosen pair's odds are built as Fractions."""
     for v in violations:
         h, hp = v.h, v.h_prime
-        row, row_p = mu[h], mu[hp]
+        n, np_ = view[h][1], view[hp][1]
         shp = env.consistent_states[hp]
         for s in shp:
             for sp in shp:
-                if s == sp:
+                if s == sp or sp not in np_ or sp not in n:
                     continue
-                if row_p.get(sp, ZERO) == 0 or row.get(sp, ZERO) == 0:
-                    continue
-                x = Fraction(row.get(s, ZERO), row[sp])
-                y = Fraction(row_p.get(s, ZERO), row_p[sp])
-                if x > y:
-                    return h, hp, s, sp, x, y
+                a, b = n.get(s, 0), np_.get(s, 0)
+                if a * np_[sp] > b * n[sp]:
+                    return h, hp, s, sp, _fraction(a, n[sp]), _fraction(b, np_[sp])
     return None
 
 
@@ -303,16 +304,17 @@ def _halved_below(epsilon: Fraction | None, bound: Fraction) -> Fraction:
 
 
 def _indicator_book(
-    env: LearningEnvironment, mu: BeliefSystem, v: ForwardViolation, epsilon: Fraction | None
+    env: LearningEnvironment, view: _BeliefView, v: ForwardViolation, epsilon: Fraction | None
 ) -> GambleSystem:
-    """The indicator book of `deterministic_synthesis` on violation v."""
+    """The indicator book of `deterministic_synthesis` on violation v, from
+    the view's rows n at h and (d', n') at h': nu = n/m for m = n(S(h'))."""
     h, hp = v.h, v.h_prime
     shp = env.consistent_states[hp]
-    m = mass_of(mu[h], shp)
-    nu = {s: mu[h].get(s, ZERO) / m for s in shp}
-    s0 = next(s for s in shp if mu[hp].get(s, ZERO) > nu[s])
-    gap = mu[hp][s0] - nu[s0]
-    c = nu[s0] + gap / 2
+    n, (dp, np_) = view[h][1], view[hp]
+    m = sum([n.get(s, 0) for s in shp])
+    s0 = next(s for s in shp if np_.get(s, 0) * m > n.get(s, 0) * dp)
+    gap = _fraction(np_[s0] * m - n.get(s0, 0) * dp, dp * m)
+    c = _fraction(n.get(s0, 0) * dp + np_[s0] * m, 2 * dp * m)
     delta = _halved_below(epsilon, gap / 2)
     return {
         h: {s: c - delta - (ONE if s == s0 else ZERO) for s in shp},
@@ -351,7 +353,8 @@ def deterministic_synthesis(
     """
     if epsilon is not None:
         epsilon = _positive_epsilon(epsilon)
-    violations = forward_violations(env, mu)  # validates mu when first read
+    view = require_valid_beliefs(env, mu)
+    violations = forward_violations(env, view)
     first = next(violations, None)
     if first is None:
         raise PreconditionViolation("belief system is forward consistent")
@@ -360,9 +363,9 @@ def deterministic_synthesis(
             "environment lacks deterministic continuation; the two-contingency "
             "construction does not yield a deterministic Dutch book here"
         )
-    found = _deterministic_witness_pair(env, mu, itertools.chain([first], violations))
+    found = _deterministic_witness_pair(env, view, itertools.chain([first], violations))
     if found is None:
-        g = _indicator_book(env, mu, first, epsilon)
+        g = _indicator_book(env, view, first, epsilon)
     else:
         h, hp, s, sp, x, y = found
         eps = _halved_below(epsilon, x - y)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from types import MappingProxyType
@@ -217,18 +216,6 @@ class ContingencyForest:
         while h is not None:
             yield h
             h = self.parent.get(h)
-
-    @cached_property
-    def chain(self) -> dict[str, tuple[str, ...]]:
-        """The root-to-node chain of every node, in node order, built only
-        when read: one walk down from the roots, each chain its parent's
-        chain plus the node."""
-        table: dict[str, tuple[str, ...]] = {}
-        walk = list(self.roots)
-        for h in walk:  # the list grows while it is read
-            table[h] = table[self.parent[h]] + (h,) if h in self.parent else (h,)
-            walk.extend(self.children[h])
-        return {h: table[h] for h in self.nodes}
 
     def comparable_pairs(self) -> Iterable[tuple[str, str]]:
         """All (h, h') with h a proper ancestor of h', in canonical order."""

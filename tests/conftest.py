@@ -55,6 +55,11 @@ def random_forest(rng: random.Random, max_nodes: int, chain_bias: float = 0.5):
     return ContingencyForest(nodes, parent)
 
 
+def chain(forest: ContingencyForest, h: str) -> tuple[str, ...]:
+    """The root-to-node tuple of h, read from `path`."""
+    return tuple(forest.path(h))[::-1]
+
+
 def random_environment(
     rng: random.Random, max_states: int = 6, max_nodes: int = 12
 ) -> LearningEnvironment:

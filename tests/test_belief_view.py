@@ -8,8 +8,10 @@ from numbers import Rational
 import pytest
 
 from dutchbook import (
+    ContingencyForest,
     FixedState,
     SimConfig,
+    build_environment,
     check_complete_consistency,
     check_forward_consistency,
     check_siniscalchi,
@@ -23,6 +25,7 @@ from dutchbook.consistency import forward_violations
 from dutchbook.errors import InputError, PreconditionViolation, UnsupportedEnvironment
 from dutchbook.gambles import deterministic_synthesis, dutch_book_synthesis
 from dutchbook.model import has_deterministic_continuation, require_valid_beliefs
+from dutchbook.serialize import beliefs_from_doc, beliefs_to_doc
 
 from conftest import random_environment, random_lcps, weights
 from test_consistency import fine_lcps
@@ -169,6 +172,37 @@ class TestInvalidBeliefs:
         assert list(view) == list(env.forest.nodes)
 
 
+class TestKernelsReadTheView:
+    # `beliefs_from_doc` builds a row's Fractions on its first lookup and
+    # keeps them in `_rows`, so `_rows` names every row a kernel read
+    # outside the validated integer view.
+    @pytest.mark.parametrize("name", ["regret", "lex", "uniform"])
+    def test_chain_rule_check_reads_no_belief_row(self, name):
+        # regret breaks the rule on a walked path; lex and uniform pass
+        # through the potentials.
+        env = fx.larry_environment()
+        mu = beliefs_from_doc(beliefs_to_doc(env, getattr(fx, f"{name}_beliefs")()))
+        assert (check_siniscalchi(env, mu) is None) == (name != "regret")
+        assert mu._rows == {}
+
+    def test_deterministic_synthesis_reads_only_the_book_rows(self):
+        # The violation (h0, h1) has no finite odds pair, as A is null at h1
+        # and B at h0; (h0, h2) has one, so the book is on h0 and h2, and
+        # h1's row is not read.
+        forest = ContingencyForest(["h0", "h1", "h2"], {"h1": "h0", "h2": "h0"})
+        env = build_environment(
+            ["A", "B", "C", "D"], forest, {s: {"h1" if s in "AB" else "h2": F(1)} for s in "ABCD"}
+        )
+        mu = beliefs_from_doc({"beliefs": {
+            "h0": {"A": "1/2", "C": "1/4", "D": "1/4"},
+            "h1": {"B": "1"},
+            "h2": {"C": "1/4", "D": "3/4"},
+        }})
+        book = deterministic_synthesis(env, mu).book
+        assert list(book) == ["h0", "h2"]
+        assert mu._rows.keys() <= book.keys()
+
+
 class TestIntegerMasses:
     def test_int_masses_give_the_verdicts_of_their_fraction_twins(self):
         # Fine LCPSs put many rows at a single state; zero entries are added
@@ -197,8 +231,8 @@ class TestIntegerMasses:
                 seen["complete"] += 1
                 assert repr(dutch_book_synthesis(env, twin)) == repr(dutch_book_synthesis(env, mu))
 
-            violations = list(forward_violations(env, mu))
-            assert repr(list(forward_violations(env, twin))) == repr(violations)
+            violations = list(forward_violations(env, require_valid_beliefs(env, mu)))
+            assert repr(list(forward_violations(env, require_valid_beliefs(env, twin)))) == repr(violations)
             assert repr(check_forward_consistency(env, twin)) == repr(check_forward_consistency(env, mu))
             if violations:
                 seen["forward"] += 1

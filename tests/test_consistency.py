@@ -25,10 +25,10 @@ from dutchbook.errors import (
     InvalidEnvironment,
     PreconditionViolation,
 )
-from dutchbook.model import ZERO, mass_of
+from dutchbook.model import ZERO, mass_of, require_valid_beliefs
 from dutchbook import fixtures as fx
 
-from conftest import random_environment, random_lcps, weights
+from conftest import chain, random_environment, random_lcps, weights
 
 F = Fraction
 
@@ -263,10 +263,10 @@ class TestForwardConsistency:
 # which checked every (h, h') with h a proper ancestor of h' in node order.
 
 def reference_forward_violations(env, mu):
-    nodes, chain = env.forest.nodes, env.forest.chain
+    nodes = env.forest.nodes
     for h in nodes:
         for hp in nodes:
-            if h == hp or h not in chain[hp]:
+            if h == hp or h not in chain(env.forest, hp):
                 continue
             shp = env.consistent_states[hp]
             event_mass = mass_of(mu[h], shp)
@@ -375,7 +375,7 @@ class TestEdgeCriterionMatchesAllPairs:
             mu = lexicographic_filtration(env, random_lcps(rng, env.states))
             for h in rng.sample(forest.nodes, rng.randint(2, min(3, len(forest.nodes)))):
                 mu[h] = weights(rng, env.consistent_states[h])
-            got = list(forward_violations(env, mu))
+            got = list(forward_violations(env, require_valid_beliefs(env, mu)))
             assert got == list(reference_forward_violations(env, mu))
             assert check_forward_consistency(env, mu) == (got[0] if got else None)
 
@@ -391,7 +391,7 @@ class TestEdgeCriterionMatchesAllPairs:
             )
             seen["zero_edge"] += "zero" in kind.values()
             seen["zero_above_bad"] += any(
-                kind[c] == "bad" and any(kind.get(a) == "zero" for a in forest.chain[c][1:-1])
+                kind[c] == "bad" and any(kind.get(a) == "zero" for a in chain(forest, c)[1:-1])
                 for c in forest.parent
             )
             seen["agreeing_grandchild"] += any(
@@ -414,7 +414,7 @@ class TestEdgeCriterionMatchesAllPairs:
             for h in rng.sample(several, rng.randint(1, 3)):
                 mu[h] = weights(rng, env.consistent_states[h])
             expected = list(reference_forward_violations(env, mu))
-            got = list(forward_violations(env, mu))
+            got = list(forward_violations(env, require_valid_beliefs(env, mu)))
             assert got == expected
             assert check_forward_consistency(env, mu) == (got[0] if got else None)
 
@@ -427,11 +427,11 @@ class TestEdgeCriterionMatchesAllPairs:
             bad = [c for c in forest.parent if kind[c] == "bad"]
             ok_ancestors = {
                 c: len(list(itertools.takewhile(
-                    lambda x: kind.get(x) == "ok", reversed(forest.chain[c][:-1])
+                    lambda x: kind.get(x) == "ok", reversed(chain(forest, c)[:-1])
                 )))
                 for c in bad
             }
-            above = {c: [kind.get(x) for x in forest.chain[c][1:-1]] for c in bad}
+            above = {c: [kind.get(x) for x in chain(forest, c)[1:-1]] for c in bad}
             seen["20_ok_ancestors"] += any(n >= 20 for n in ok_ancestors.values())
             seen["two_bad_on_a_chain"] += any("bad" in kinds for kinds in above.values())
             seen["zero_above_bad"] += any("zero" in kinds for kinds in above.values())
@@ -442,7 +442,7 @@ class TestEdgeCriterionMatchesAllPairs:
         for _ in range(100):
             env = shuffled_forest_environment(rng)
             mu = lexicographic_filtration(env, random_lcps(rng, env.states))
-            assert list(forward_violations(env, mu)) == []
+            assert list(forward_violations(env, require_valid_beliefs(env, mu))) == []
 
     def test_deep_caterpillar_with_filtration_beliefs(self):
         # Spine c0 -> ... -> c499 with a leaf l_i hanging off each c_i: 999
@@ -495,7 +495,7 @@ def bad_leaf_caterpillar(depth):
 class TestBadLeavesBelowOkChains:
     def test_drained_walk_matches_all_pairs(self):
         env, mu = bad_leaf_caterpillar(60)
-        got = list(forward_violations(env, mu))
+        got = list(forward_violations(env, require_valid_beliefs(env, mu)))
         assert got == list(reference_forward_violations(env, mu))
         # l_i has i + 1 ancestors (i < 59) and the last spine node c59 has 59.
         assert len(got) == 60 * 61 // 2 - 1

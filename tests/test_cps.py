@@ -559,7 +559,10 @@ class TestLarryRing:
         # Larry's six contingencies meet in nine overlapping pairs; each
         # overlap is summed once from each side, 18 sums in all.
         calls = []
-        monkeypatch.setattr(cps_module, "mass_of", lambda *a: calls.append(a) or mass_of(*a))
+        overlap_mass = cps_module._overlap_mass
+        monkeypatch.setattr(
+            cps_module, "_overlap_mass", lambda *a: calls.append(a) or overlap_mass(*a)
+        )
         assert check_siniscalchi(fx.larry_environment(), fx.lex_beliefs()) is None
         assert len(calls) == 18
 

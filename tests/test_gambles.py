@@ -43,7 +43,7 @@ from dutchbook.gambles import (
     deterministic_synthesis,
     dutch_book_synthesis,
 )
-from dutchbook.model import ONE, ZERO, has_deterministic_continuation
+from dutchbook.model import ONE, ZERO, has_deterministic_continuation, require_valid_beliefs
 
 from conftest import (
     accepted_gambles,
@@ -93,16 +93,20 @@ class TestAcceptance:
 
     def test_accepts_system_computes_each_expectation_once(self, monkeypatch):
         calls = []
+        exact_sum = gambles._exact_sum
 
-        def counted(nu, gamble):
-            calls.append(gamble)
-            return expected_payoff(nu, gamble)
+        def counted(terms):
+            calls.append(terms)
+            return exact_sum(terms)
 
-        monkeypatch.setattr(gambles, "expected_payoff", counted)
-        env = fx.larry_environment()
-        report = accepts_system(env, fx.regret_beliefs(), fx.larry_book())
+        monkeypatch.setattr(gambles, "_exact_sum", counted)
+        env, book = fx.larry_environment(), fx.larry_book()
+        report = accepts_system(env, fx.regret_beliefs(), book)
         assert report.accepted
-        assert len(calls) == len(env.forest.nodes)
+        # One sum per contingency the book pays at; the other three have
+        # expectation 0 without one.
+        assert len(calls) == sum(1 for gamble in book.values() if gamble) == 3
+        assert all(report.per_contingency[h] == (ZERO, True) for h in ("sq", "ma", "pa"))
 
     def test_payoff_outside_support_rejected(self):
         env = fx.larry_environment()
@@ -265,7 +269,8 @@ class TestSynthesizeDeterministic:
         # The closed form must pick the first epsilon / 2^k below x - y also
         # where epsilon is exactly (x - y) * 2^k.
         env, mu = fx.nested_environment(), fx.drift_beliefs()
-        *_, x, y = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
+        view = require_valid_beliefs(env, mu)
+        *_, x, y = _deterministic_witness_pair(env, view, forward_violations(env, view))
         for k in range(6):
             for scale in (F(999, 1000), ONE, F(1001, 1000)):
                 epsilon = (x - y) * 2**k * scale
@@ -347,7 +352,8 @@ class TestSynthesizeDeterministic:
             "h2": {"C": F(1, 4), "D": F(3, 4)},
         }
         assert check_forward_consistency(env, mu).h_prime == "h1"
-        found = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
+        view = require_valid_beliefs(env, mu)
+        found = _deterministic_witness_pair(env, view, forward_violations(env, view))
         assert found == ("h0", "h2", "C", "D", F(1), F(1, 3))
         g = synthesize_deterministic_db(env, mu)
         assert set(g) == {"h0", "h2"}
@@ -541,7 +547,8 @@ def reference_synthesize_deterministic_db(env, mu, epsilon=None):
             "environment lacks deterministic continuation; the two-contingency "
             "construction does not yield a deterministic Dutch book here"
         )
-    found = _deterministic_witness_pair(env, mu, forward_violations(env, mu))
+    view = require_valid_beliefs(env, mu)
+    found = _deterministic_witness_pair(env, view, forward_violations(env, view))
     if found is None:
         raise PreconditionViolation(
             "every violating orientation has an infinite odds ratio; "
@@ -701,7 +708,8 @@ class TestIndicatorBook:
             mu = {h: weights(rng, env.consistent_states[h]) for h in env.forest.nodes}
             if check_forward_consistency(env, mu) is None:
                 continue
-            indicator += _deterministic_witness_pair(env, mu, forward_violations(env, mu)) is None
+            view = require_valid_beliefs(env, mu)
+            indicator += _deterministic_witness_pair(env, view, forward_violations(env, view)) is None
             book = synthesize_deterministic_db(env, mu)
             assert accepts_system(env, mu, book).accepted
             assert classify_deterministic(env, book).is_deterministic_db

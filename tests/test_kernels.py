@@ -24,7 +24,7 @@ from dutchbook.errors import InvalidEnvironment
 from dutchbook.model import ONE, ZERO, _exact_sum, _require_rational
 from dutchbook.odds import CoherenceViolation
 
-from conftest import random_environment, random_lcps, weights
+from conftest import chain, random_environment, random_lcps, weights
 from test_odds import ReferenceAnalysis, coherence_instances, reference_edges
 
 F = Fraction
@@ -360,7 +360,7 @@ def reference_per_path(env, g):
     """The chain sum that classify_deterministic replaced, zeros included."""
     return {
         s: {
-            leaf: sum((g.get(h, {}).get(s, ZERO) for h in env.forest.chain[leaf]), ZERO)
+            leaf: sum((g.get(h, {}).get(s, ZERO) for h in chain(env.forest, leaf)), ZERO)
             for leaf in env.eta[s]
         }
         for s in env.states
@@ -381,7 +381,7 @@ def seeded_books(rng, env):
     yield book
     s = rng.choice(env.states)
     leaf = rng.choice(list(env.eta[s]))
-    yield {h: {s: F(rng.randint(1, 9), rng.randint(1, 9))} for h in env.forest.chain[leaf]}
+    yield {h: {s: F(rng.randint(1, 9), rng.randint(1, 9))} for h in chain(env.forest, leaf)}
     yield {}
 
 

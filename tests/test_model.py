@@ -17,7 +17,7 @@ from dutchbook.errors import DomainError, InvalidEnvironment
 from dutchbook.gambles import classify_deterministic
 from dutchbook import fixtures as fx
 
-from conftest import random_forest, weights
+from conftest import chain, random_forest, weights
 
 F = Fraction
 ZERO = F(0)
@@ -28,7 +28,7 @@ class TestForest:
         forest = ContingencyForest(["a", "b", "c"], {"b": "a", "c": "b"})
         assert forest.roots == ("a",)
         assert forest.leaves == ("c",)
-        assert forest.chain["c"] == ("a", "b", "c")
+        assert chain(forest, "c") == ("a", "b", "c")
 
     def test_multi_root(self):
         forest = ContingencyForest(["a", "b"], {})
@@ -48,7 +48,7 @@ class TestForest:
             rng.shuffle(nodes)
             forest = ContingencyForest(nodes, forest.parent)
             expected = [
-                (h, hp) for h in nodes for hp in nodes if h != hp and h in forest.chain[hp]
+                (h, hp) for h in nodes for hp in nodes if h != hp and h in chain(forest, hp)
             ]
             assert list(forest.comparable_pairs()) == expected
 
@@ -111,7 +111,8 @@ class TestChainsMatchPerNodeWalk:
                 assert str(err.value) == expected
                 seen["cycle"] += 1
             else:
-                assert ContingencyForest(nodes, parent).chain == expected
+                forest = ContingencyForest(nodes, parent)
+                assert {h: chain(forest, h) for h in forest.nodes} == expected
                 seen["chains"] += 1
         assert min(seen.values()) >= 50, seen
 
@@ -121,7 +122,7 @@ class TestChainsMatchPerNodeWalk:
         started = time.perf_counter()
         forest = ContingencyForest(nodes, {nodes[i]: nodes[i - 1] for i in range(1, n)})
         assert time.perf_counter() - started < 1.0
-        assert forest.chain[nodes[-1]] == tuple(nodes)
+        assert chain(forest, nodes[-1]) == tuple(nodes)
 
     def test_deep_forest_costs_linear_memory(self):
         # A table of root-to-node chains would hold n(n+1)/2 slots, about
@@ -330,7 +331,7 @@ def reference_dense_tables(states, forest, eta):
         for leaf, mass in eta_table[s].items():
             if mass == 0:
                 continue
-            for h in forest.chain[leaf]:
+            for h in chain(forest, leaf):
                 reach[h][s] += mass
     consistent_states = {
         h: tuple(s for s in states if reach[h][s] > 0) for h in forest.nodes
@@ -343,7 +344,7 @@ def reference_dense_tables(states, forest, eta):
 
 def reference_has_deterministic_continuation(forest, consistent_states, consistent_paths):
     def paths_through(h):
-        return tuple(l for l in forest.leaves if h in forest.chain[l])
+        return tuple(l for l in forest.leaves if h in chain(forest, l))
 
     for h in forest.nodes:
         kids = forest.children[h]
@@ -354,7 +355,7 @@ def reference_has_deterministic_continuation(forest, consistent_states, consiste
             for leaf in paths_through(c):
                 child_of[leaf] = c
         for s in consistent_states[h]:
-            used = {child_of[leaf] for leaf in consistent_paths[s] if h in forest.chain[leaf]}
+            used = {child_of[leaf] for leaf in consistent_paths[s] if h in chain(forest, leaf)}
             if len(used) > 1:
                 return False
     return True
