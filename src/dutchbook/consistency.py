@@ -17,7 +17,6 @@ from .model import (
     _BeliefView,
     _fraction,
     _integer_row,
-    _pair,
     _require_rational,
     require_valid_beliefs,
 )
@@ -129,24 +128,25 @@ def _bayes_rows(
     env: LearningEnvironment, lcps: Lcps
 ) -> dict[str, tuple[dict[str, tuple[int, int]], int, int]]:
     """Bayes rule at every contingency h, in node order, from the first
-    level l explaining it, in integers: for each s with p(h|s) = p/q in
-    lowest terms (read by `_pair`) and p*l(s) > 0, in state order, the
+    level l explaining it, the least level of a state of S(h), in integers:
+    for each s with p(h|s) = p/q in lowest terms (the slots of its exact
+    Fraction) and p*l(s) > 0, in state order, the
     weight (a, b) = (p*N, q), where l(s) = N/L in the LCPS's integer view,
     so that a/b = L*p(h|s)*l(s); the lcm d of the b; and n = sum of a*d/b.
     Then mu(s|h) = a*d / (b*n), as the common factor L cancels."""
     validate_lcps(lcps, env.states)
     view = lcps._view
+    level = {s: k for s, (k, _) in view.items()}
     rows = {}
     for h in env.forest.nodes:
-        k = lcps.level_for(env.consistent_states[h])
-        weights = {}
+        k = min(map(level.__getitem__, env.reach[h]))
+        weights, d = {}, 1
         for s, r in env.reach[h].items():
             j, m = view[s]
             if j == k:
-                p, q = _pair(r)
-                weights[s] = p * m, q
-        d = lcm(*(b for _, b in weights.values()))
-        rows[h] = weights, d, sum(a * (d // b) for a, b in weights.values())
+                weights[s] = r._numerator * m, r._denominator
+                d = lcm(d, r._denominator)
+        rows[h] = weights, d, sum([a * (d // b) for a, b in weights.values()])
     return rows
 
 
@@ -213,6 +213,7 @@ def check_complete_consistency(
         return ConsistencyResult(consistent=False, violation=outcome)
     levels = outcome.partition.levels
     lcps = Lcps(tuple({s: outcome.potentials[s] for s in members} for members in levels))
+    lcps._rows.update(enumerate(outcome.level_rows))  # the levels' `_integer_row`s
     if not verify_ccbs(env, view, lcps):
         raise InternalError("extracted LCPS does not reproduce the belief system")
     return ConsistencyResult(consistent=True, lcps=lcps, certificate=outcome)

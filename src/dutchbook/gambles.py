@@ -17,6 +17,7 @@ from .model import (
     _BeliefView,
     _exact_sum,
     _fraction,
+    _pair,
     _require_rational,
     has_deterministic_continuation,
     require_valid_beliefs,
@@ -80,6 +81,15 @@ def _accepts(value: Fraction, nu: Mapping[str, Fraction], gamble: Mapping[str, F
     if value:
         return value > 0
     return all(x >= 0 for s, x in gamble.items() if nu.get(s, ZERO) == 0)
+
+
+def _accepts_row(n: Mapping[str, int], gamble: Mapping[str, Fraction]) -> bool:
+    """The acceptance rule at row (d, n) of a valid belief system's integer
+    view, with rational payoffs: d times the expectation is the sum of
+    n(s)*x(s), and mu(s|h) = 0 iff s is not in n."""
+    pairs = {s: _pair(x) for s, x in gamble.items() if s in n}
+    d = math.lcm(*(q for _, q in pairs.values()))
+    return _accepts(sum(n[s] * p * (d // q) for s, (p, q) in pairs.items()), n, gamble)
 
 
 def _check_supports(env: LearningEnvironment, g: GambleSystem) -> None:

@@ -2,7 +2,7 @@
 cycle-consistency checking, and the plausibility partition."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -34,7 +34,7 @@ class ExtendedRatio:
         _require_rational(v, "finite ratio must be rational, got %r", v)
         if v <= 0:
             raise ValueError(f"finite ratio must be positive, got {v}")
-        return ExtendedRatio(Fraction(v))
+        return ExtendedRatio(v if type(v) is Fraction else Fraction(v))
 
     @property
     def is_zero(self) -> bool:
@@ -126,6 +126,7 @@ class PlausibilityPartition:
 class CoherenceCertificate:
     partition: PlausibilityPartition
     potentials: dict[str, Fraction]  # strictly positive, sums to 1 per level
+    level_rows: tuple = field(default=(), compare=False, repr=False)  # each level's `_integer_row`
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,8 @@ def build_coherence_graph(env: LearningEnvironment, mu: BeliefSystem) -> Coheren
 
 
 def _condensation_walk(
-    cond: dict[int, dict[int, OddsLink]]
-) -> tuple[list[OddsLink] | None, dict[int, int]]:
+    cond: dict[int, dict[int, OddsLink | None]]
+) -> tuple[list[OddsLink | None] | None, dict[int, int]]:
     """One depth-first walk of the condensation in sorted order, on an
     explicit stack of (component, remaining successors) frames, as chains can
     be long. Returns the first directed cycle of zero edges, closed along the
@@ -268,6 +269,14 @@ def _make_violation(cycle: list[OddsLink]) -> CoherenceViolation:
     return CoherenceViolation(tuple(cycle), product)
 
 
+def _zero_edges(positive: dict[str, list[str]], rows: dict[str, dict[str, Weight]],
+                order: dict[str, int]) -> list[tuple[int, int, str, str, str]]:
+    """Every zero edge, from s of zero weight at h into the head of
+    positive[h], as a plain tuple, sorted in (src, dst, h) order."""
+    return sorted((order[s], order[pos[0]], h, s, pos[0])
+                  for h, pos in positive.items() if pos for s, w in rows[h].items() if not w[0])
+
+
 def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceViolation:
     """Certificate iff every generalized self-odds ratio is 1, else a witness
     self-cycle with product Zero or Finite(!= 1).
@@ -276,7 +285,11 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     of positive[h] (positive weight, state order) and the zero edges run
     from each other state of S(h) into positive[h]. Each step finds what a
     scan of all the edges in (src, dst, h) order would find, at a cost of
-    sum |S(h)| plus sorting. Link values are computed only for the witness.
+    sum |S(h)|; zero edges are sorted and links valued only for a witness.
+    The sorted scan fails iff a zero edge lies inside a component or the
+    condensation has a cycle, iff the graph of component ids with a loop
+    per inside edge, which one unsorted pass builds, has a cycle; the walk
+    sorts each component's successors, so the levels agree too.
     """
     rows, states = graph.rows, graph.states
     order = {s: i for i, s in enumerate(states)}
@@ -363,26 +376,30 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
 
     # Zero edges: inside a finite component they witness a violation;
     # across components they must form a DAG on the condensation. All of
-    # positive[h] is one component, so the least zero edge from s at h,
-    # the one into the head of positive[h], decides both. Edges are sorted
-    # as plain tuples; a link is built only for a violating edge and for
-    # the first edge between two components.
-    zero = ExtendedRatio.zero()
-    zero_edges = sorted(
-        (order[s], order[pos[0]], h, s, pos[0])
-        for h, pos in positive.items() if pos
-        for s, w in rows[h].items() if not w[0]
-    )
-    cond: dict[int, dict[int, OddsLink]] = {c: {} for c in range(comp)}
-    for *_, h, s, head in zero_edges:
-        ca, cb = component[s], component[head]
-        if ca == cb:
-            return _make_violation([OddsLink(h, s, head, zero)] + tree_path(head, s))
-        if cb not in cond[ca]:
-            cond[ca][cb] = OddsLink(h, s, head, zero)
-
+    # positive[h] is one component, so the zero edge from s at h into the
+    # head of positive[h] decides both. One unsorted pass records the
+    # successor ids of each component, an edge inside one as a loop, so the
+    # walk finds a cycle iff there is a violation, and otherwise the levels.
+    cond: dict[int, dict[int, OddsLink | None]] = {c: {} for c in range(comp)}
+    for h, pos in positive.items():
+        if pos:
+            cb = component[pos[0]]
+            for s, w in rows[h].items():
+                if not w[0]:
+                    cond[component[s]][cb] = None
     cyc, comp_levels = _condensation_walk(cond)
     if cyc is not None:
+        # The sorted scan's witness; a link is built only for an edge inside
+        # a component and for the first edge between two components.
+        zero = ExtendedRatio.zero()
+        cond = {c: {} for c in range(comp)}
+        for *_, h, s, head in _zero_edges(positive, rows, order):
+            ca, cb = component[s], component[head]
+            if ca == cb:
+                return _make_violation([OddsLink(h, s, head, zero)] + tree_path(head, s))
+            if cb not in cond[ca]:
+                cond[ca][cb] = OddsLink(h, s, head, zero)
+        cyc = _condensation_walk(cond)[0]
         links: list[OddsLink] = []
         for i, e in enumerate(cyc):
             nxt = cyc[(i + 1) % len(cyc)]
@@ -394,16 +411,17 @@ def check_coherence(graph: CoherenceGraph) -> CoherenceCertificate | CoherenceVi
     levels: list[list[str]] = [[] for _ in range(max(comp_levels.values(), default=1))]
     for s in states:
         levels[comp_levels[component[s]] - 1].append(s)
-    # Each level's potentials are totalled in integers over the lcm of their
-    # denominators, as `consistency._bayes_rows` does; one Fraction per state.
-    potentials: dict[str, Fraction] = {}
+    # Each level's row (d, n): n(s) = pot(s)*td over the lcm td of the pd,
+    # d their sum. Its root's n is td, so the n(s) are coprime (README) and
+    # (d, n) is the level's `_integer_row`; one Fraction n(s)/d per state.
+    level_rows = []
     for members in levels:
-        pots = [potential[s] for s in members]
-        td = lcm(*(pd for _, pd in pots))
-        tn = sum(pn * (td // pd) for pn, pd in pots)
-        for s, (pn, pd) in zip(members, pots):
-            potentials[s] = _fraction(pn * td, pd * tn)
-    return CoherenceCertificate(PlausibilityPartition(tuple(map(tuple, levels))), potentials)
+        td = lcm(*(potential[s][1] for s in members))
+        n = {s: potential[s][0] * (td // potential[s][1]) for s in members}
+        level_rows.append((sum(n.values()), n))
+    potentials = {s: _fraction(x, d) for d, n in level_rows for s, x in n.items()}
+    partition = PlausibilityPartition(tuple(map(tuple, levels)))
+    return CoherenceCertificate(partition, potentials, tuple(level_rows))
 
 
 def plausibility_levels(graph: CoherenceGraph) -> PlausibilityPartition:

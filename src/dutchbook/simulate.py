@@ -22,9 +22,9 @@ from .model import (
 )
 from .gambles import (
     GambleSystem,
+    _accepts_row,
     _path_payoffs,
     classify_dutch_book,
-    is_willing_to_accept,
 )
 
 _U64 = 1 << 64
@@ -112,9 +112,9 @@ def run_rounds(
 ) -> SimReport:
     """Replay cfg.rounds rounds; per round, draw a state, draw a path from
     eta, and credit each accepted gamble along the path."""
-    require_valid_beliefs(env, mu)
+    view = require_valid_beliefs(env, mu)
     exact_ungated = classify_dutch_book(env, g).per_state
-    gated = {h: gamble for h, gamble in g.items() if is_willing_to_accept(mu[h], gamble)}
+    gated = {h: gamble for h, gamble in g.items() if _accepts_row(view[h][1], gamble)}
     exact_gated = classify_dutch_book(env, gated).per_state
 
     if isinstance(cfg.mode, FixedState):

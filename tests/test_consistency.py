@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -17,6 +18,7 @@ from dutchbook import (
     validate_lcps,
     verify_ccbs,
 )
+from dutchbook import consistency
 from dutchbook.consistency import ForwardViolation, forward_violations
 from dutchbook.errors import (
     DomainError,
@@ -25,7 +27,7 @@ from dutchbook.errors import (
     InvalidEnvironment,
     PreconditionViolation,
 )
-from dutchbook.model import ZERO, mass_of, require_valid_beliefs
+from dutchbook.model import ZERO, _integer_row, mass_of, require_valid_beliefs
 from dutchbook import fixtures as fx
 
 from conftest import chain, random_environment, random_lcps, weights
@@ -144,6 +146,39 @@ class TestExtractLcps:
 
 
 class TestCompleteConsistency:
+    def test_certificate_rows_are_the_levels_integer_rows(self, rng):
+        for _ in range(40):
+            env = random_environment(rng, max_states=5, max_nodes=8)
+            mu = derive_beliefs(env, random_lcps(rng, env.states))
+            result = check_complete_consistency(env, mu)
+            rows = result.certificate.level_rows
+            assert rows == tuple(_integer_row(level) for level in result.lcps.levels)
+            assert [list(n) for _, n in rows] == [list(level) for level in result.lcps.levels]
+            assert result.lcps._rows == dict(enumerate(rows))
+
+    def test_recheck_reads_the_certificate_rows(self, monkeypatch):
+        """Level 0 of the uniform beliefs is (3, {sq: 1, ma: 1, pa: 1}). Its
+        integers doubled still reproduce the beliefs; one unit moved from sq
+        to ma no longer does, and the real `verify_ccbs` says so."""
+        check_coherence = consistency.check_coherence
+
+        def with_row(moved):
+            def check(graph):
+                outcome = check_coherence(graph)
+                (d, n), *rest = outcome.level_rows
+                n = {s: 2 * x for s, x in n.items()}
+                n["sq"] -= moved
+                n["ma"] += moved
+                return dataclasses.replace(outcome, level_rows=((2 * d, n), *rest))
+            return check
+
+        env, mu = fx.larry_environment(), fx.uniform_beliefs()
+        monkeypatch.setattr(consistency, "check_coherence", with_row(0))
+        assert check_complete_consistency(env, mu).consistent
+        monkeypatch.setattr(consistency, "check_coherence", with_row(1))
+        with pytest.raises(InternalError, match="does not reproduce"):
+            check_complete_consistency(env, mu)
+
     def test_regret_inconsistent(self):
         result = check_complete_consistency(fx.larry_environment(), fx.regret_beliefs())
         assert not result.consistent

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 import time
 from fractions import Fraction
 from functools import partial
@@ -43,7 +44,9 @@ from dutchbook.gambles import (
     deterministic_synthesis,
     dutch_book_synthesis,
 )
-from dutchbook.model import ONE, ZERO, has_deterministic_continuation, require_valid_beliefs
+from dutchbook.model import (
+    ONE, ZERO, _integer_row, has_deterministic_continuation, require_valid_beliefs,
+)
 
 from conftest import (
     accepted_gambles,
@@ -77,6 +80,28 @@ class TestAcceptance:
         # No loss anywhere: accepted ("willing to accept" at indifference).
         assert is_willing_to_accept(nu, {"a": F(0), "b": F(5)})
         assert is_willing_to_accept(nu, {})
+
+    def test_integer_row_rule_matches_is_willing_to_accept(self):
+        """`_accepts_row`, which gates `run_rounds`, on a row's integers n."""
+        rng = random.Random(0xACC)
+        seen = Counter()
+        for _ in range(800):
+            keys = [f"s{i}" for i in range(rng.randint(1, 5))]
+            nu = weights(rng, keys)
+            if rng.random() < 0.5:
+                nu.update({s: ZERO for s in keys if s not in nu})
+            gamble = {
+                s: F(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8
+                else rng.randint(-3, 3)
+                for s in rng.sample(keys, rng.randint(0, len(keys)))
+            }
+            if rng.random() < 0.5:  # made fair on the believed states
+                a = rng.choice([s for s, m in nu.items() if m])
+                gamble[a] = gamble.get(a, ZERO) - expected_payoff(nu, gamble) / nu[a]
+            accepted = is_willing_to_accept(nu, gamble)
+            assert gambles._accepts_row(_integer_row(nu)[1], gamble) == accepted
+            seen[accepted, expected_payoff(nu, gamble) == 0] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 40, seen
 
     def test_accepts_system_regret_larry_book(self):
         env = fx.larry_environment()

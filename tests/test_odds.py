@@ -36,7 +36,7 @@ from dutchbook.errors import (
 from dutchbook import fixtures as fx
 from dutchbook.model import ONE, ZERO
 from dutchbook import odds
-from dutchbook.odds import _condensation_walk, _ratio
+from dutchbook.odds import _condensation_walk, _ratio, _zero_edges
 
 from conftest import random_environment, random_lcps, weights
 
@@ -54,6 +54,17 @@ class TestExtendedRatio:
         with pytest.raises(DomainError, match="finite ratio must be rational"):
             ExtendedRatio.finite(0.1)
         assert ExtendedRatio.finite(2).value == 2
+
+    def test_finite_keeps_an_exact_fraction_and_converts_other_rationals(self):
+        v = F(2, 3)
+        assert ExtendedRatio.finite(v).value is v
+        value = ExtendedRatio.finite(2).value
+        assert type(value) is Fraction and value == 2
+
+        class Sub(Fraction):
+            pass
+
+        assert type(ExtendedRatio.finite(Sub(2, 3)).value) is Fraction
 
     def test_value_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(ExtendedRatio)] == ["value"]
@@ -623,6 +634,36 @@ class TestWeightRowsMatchEdgeList:
                 assert len(calls) == sum(link.value.is_finite for link in outcome.cycle)
             calls.clear()
         assert witnesses >= 50
+
+
+class TestZeroEdgesAreSortedOnlyForWitnesses:
+    def test_sorted_scan_runs_only_on_inside_and_cycle(self, monkeypatch):
+        walks, sorts = [], []
+
+        def walk(cond):
+            walks.append(cond)
+            return _condensation_walk(cond)
+
+        def zero_edges(*args):
+            sorts.append(args)
+            return _zero_edges(*args)
+
+        monkeypatch.setattr(odds, "_condensation_walk", walk)
+        monkeypatch.setattr(odds, "_zero_edges", zero_edges)
+        # (walks, sorts) per deciding step: a loop inside a component ends the
+        # unsorted walk as a cycle and the sorted scan at that edge; a cycle
+        # walks again over the links of the sorted edges.
+        expected = {"certificate": (1, 0), "finite": (0, 0), "inside": (1, 1), "cycle": (2, 1)}
+        seen = Counter()
+        for env, mu in coherence_instances(0xC0DE, 900):
+            graph = build_coherence_graph(env, mu)
+            kind = ReferenceAnalysis(env.states, graph.edges).kind
+            walks.clear()
+            sorts.clear()
+            check_coherence(graph)
+            assert (len(walks), len(sorts)) == expected[kind], kind
+            seen[kind] += 1
+        assert all(seen[kind] >= 20 for kind in expected), seen
 
 
 def two_contingency_environment(n):
