@@ -111,7 +111,17 @@ def run_rounds(
     cfg: SimConfig,
 ) -> SimReport:
     """Replay cfg.rounds rounds; per round, draw a state, draw a path from
-    eta, and credit each accepted gamble along the path."""
+    eta, and credit each accepted gamble along the path.
+
+    Round i's draws depend on (seed, i) alone: the round seeds its generator
+    from "{seed}:{i}", so skipping one round's draws changes no other round.
+    A round is determined when one state has positive mass (fixed mode, or
+    a prior with one positive state) and that state reaches one leaf. Each
+    draw then bisects the single bound [2**64] that _thresholds gives one
+    key, and every 64-bit draw r has bisect_right([2**64], r) == 0, so the
+    round's outcome is the same for every draw. Determined replays tally
+    every round on that leaf and seed no generator; the square sum is still
+    added once per round, in round order."""
     view = require_valid_beliefs(env, mu)
     exact_ungated = classify_dutch_book(env, g).per_state
     gated = {h: gamble for h, gamble in g.items() if _accepts_row(view[h][1], gamble)}
@@ -144,20 +154,29 @@ def run_rounds(
     # Float addition is not associative, so the square sums are added round
     # by round, in round order; count * x**2 per leaf would round otherwise.
     sq_sums = {s: 0.0 for s in tracked}
-    rng = random.Random()
-    for i in range(cfg.rounds):
-        # Counter-based: each round's state is derived from (seed, index)
-        # alone, so rounds are order-independent and parallel-safe. Reseeding
-        # one generator gives the state random.Random(f"{seed}:{i}") has.
-        rng.seed(f"{cfg.seed}:{i}")
-        if state_bounds is None:
-            s = cfg.mode.state
-        else:
-            s = tracked[bisect_right(state_bounds, rng.getrandbits(64))]
-        bounds, hits, squares = rows[s]
-        j = bisect_right(bounds, rng.getrandbits(64))
-        hits[j] += 1
-        sq_sums[s] += squares[j]
+    if len(tracked) == len(rows[tracked[0]][0]) == 1:
+        # Determined: every round hits the one leaf, so no draw is made.
+        (s,) = tracked
+        _, hits, (square,) = rows[s]
+        hits[0] = cfg.rounds
+        sq_sum = 0.0
+        for _ in range(cfg.rounds):
+            sq_sum += square
+        sq_sums[s] = sq_sum
+    else:
+        rng = random.Random()
+        for i in range(cfg.rounds):
+            # Reseeding one generator gives the state that
+            # random.Random(f"{seed}:{i}") has.
+            rng.seed(f"{cfg.seed}:{i}")
+            if state_bounds is None:
+                s = cfg.mode.state
+            else:
+                s = tracked[bisect_right(state_bounds, rng.getrandbits(64))]
+            bounds, hits, squares = rows[s]
+            j = bisect_right(bounds, rng.getrandbits(64))
+            hits[j] += 1
+            sq_sums[s] += squares[j]
 
     per_state: dict[str, StateStats] = {}
     for s in tracked:

@@ -376,6 +376,27 @@ class TestSimulateCommand:
         assert code == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "state, digest",
+        [
+            ("A", "a4269c3639cd0e9f76a13e904df8ef5714555d3b8222ba01b6043c35ab2cb37c"),
+            ("B", "15b512a227f87937ddd8c3428a8bd8b06bc06747ad65647ce3a85faefeaaef87"),
+        ],
+    )
+    def test_one_path_states_are_pinned(self, capsys, state, digest):
+        # States A and B continue along one path, so no round draws. sha256
+        # of stdout as printed when every round still seeded a generator.
+        # A's sampleStdDev, 4.649959278143782e-08, comes only from adding its
+        # square once per round, in round order.
+        code = main(["simulate", "--env", str(DATA / "nested.json"),
+                     "--beliefs", str(DATA / "drift.json"),
+                     "--book", str(DATA / "ddb-nested.json"),
+                     "--rounds", "1000", "--seed", "42", "--state", state])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert json.loads(out)["perState"][state]["count"] == 1000
+
 
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")

@@ -20,6 +20,15 @@ COMMANDS = [
     for line in block.replace("\\\n", " ").splitlines()
     if line.startswith("dutchbook ")
 ]
+SUBCOMMANDS = [line.split()[1] for line in COMMANDS]
+
+
+def _command_id(i):
+    """The subcommand; a repeated one adds the stem of its --env file."""
+    words = COMMANDS[i].split()
+    if SUBCOMMANDS.index(words[1]) == i:
+        return words[1]
+    return f"{words[1]}-{Path(words[words.index('--env') + 1]).stem}"
 
 
 def test_every_exported_name_resolves():
@@ -43,10 +52,10 @@ def test_readme_example_runs(source):
 
 
 def test_readme_has_cli_examples():
-    assert len(COMMANDS) == 5
+    assert len(COMMANDS) == 6
 
 
-@pytest.mark.parametrize("line", COMMANDS, ids=[line.split()[1] for line in COMMANDS])
+@pytest.mark.parametrize("line", COMMANDS, ids=[_command_id(i) for i in range(len(COMMANDS))])
 def test_readme_cli_example_exits_as_stated(line, capsys):
     command, stated = line.split("#")
     code = int(re.match(r"\s*exit (\d)", stated).group(1))

@@ -376,3 +376,153 @@ class TestThresholdBoundaries:
             expected = _reference_draw(_PlannedDraws([r]), cumulative)
             report = self.replay(monkeypatch, env, mu, book, FixedState("a"), [r])
             assert report.per_state["a"].empirical_mean_exact == leaves.index(expected) + 1, r
+
+
+# Each state of the nested environment continues along one path, so with one
+# of them tracked no draw can change a round. Under the drift beliefs and the
+# nested deterministic book, A's path pays -1/3, B's -1/24 and C's 0.
+DETERMINED = {
+    "fixed-A": FixedState("A"),
+    "fixed-B": FixedState("B"),
+    "prior-A": Prior({"A": F(1), "B": F(0), "C": F(0)}),
+    "prior-C": Prior({"C": F(1)}),
+}
+# A's path pays 10**154 + 1: its float square times 1000 is no finite float.
+HUGE_A_BOOK = {"h0": {"A": F(10) ** 154, "B": F(1)}, "h1": {"A": F(1), "B": F(-1)}}
+
+
+def nested_run(mode, rounds=1000, seed=42, g=None):
+    env = fx.nested_environment()
+    book = fx.nested_deterministic_book() if g is None else g
+    return run_rounds(env, fx.drift_beliefs(), book, SimConfig(rounds, seed, mode))
+
+
+class _NoDraws:
+    """Generator stub for replays that must not draw: any use fails."""
+
+    def seed(self, *args):
+        raise AssertionError("seeded a generator")
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from a generator")
+
+
+class _RecordedDraws(random.Random):
+    """A real generator that logs each seeding and each draw."""
+
+    def __init__(self, log):
+        self.log = log
+        super().__init__()
+
+    def seed(self, a=None, version=2):
+        self.log.append(("seed", a))
+        super().seed(a, version)
+
+    def getrandbits(self, k):
+        self.log.append(("getrandbits", k))
+        return super().getrandbits(k)
+
+
+class TestDeterminedRounds:
+    """One tracked state with one path: the replay tallies every round on
+    that path without a generator and still prints today's bytes."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 1000])
+    @pytest.mark.parametrize("mode", DETERMINED.values(), ids=DETERMINED.keys())
+    def test_matches_fraction_reference(self, mode, rounds):
+        env, mu, book = fx.nested_environment(), fx.drift_beliefs(), fx.nested_deterministic_book()
+        for seed in (0, 42):
+            cfg = SimConfig(rounds, seed, mode)
+            new, ref = run_rounds(env, mu, book, cfg), reference_run_rounds(env, mu, book, cfg)
+            assert new == ref
+            assert repr(new) == repr(ref)
+            (stats,) = new.per_state.values()
+            assert stats.count == rounds
+
+    def test_square_sum_is_added_round_by_round(self):
+        # 1000 adds of (-1/3)**2 round differently from one product, and the
+        # product would print a sampleStdDev of 0.0.
+        square = float(F(-1, 3)) ** 2
+        added = 0.0
+        for _ in range(1000):
+            added += square
+        assert added == 111.11111111111326 != 1000 * square == 111.1111111111111
+        stats = nested_run(FixedState("A")).per_state["A"]
+        assert stats.empirical_mean_exact == F(-1, 3)
+        mean = stats.empirical_mean
+        assert stats.sample_std_dev == math.sqrt((added - 1000 * mean * mean) / 999)
+        assert stats.sample_std_dev == 4.649959278143782e-08
+        assert math.sqrt(max(0.0, (1000 * square - 1000 * mean * mean) / 999)) == 0.0
+
+    @pytest.mark.parametrize("mode", DETERMINED.values(), ids=DETERMINED.keys())
+    def test_no_generator_is_touched(self, monkeypatch, mode):
+        expected = nested_run(mode, rounds=300, seed=9)
+        monkeypatch.setattr("dutchbook.simulate.random", SimpleNamespace(Random=_NoDraws))
+        assert nested_run(mode, rounds=300, seed=9) == expected
+        log = []
+        monkeypatch.setattr(
+            "dutchbook.simulate.random", SimpleNamespace(Random=lambda: _RecordedDraws(log))
+        )
+        nested_run(mode, rounds=300, seed=9)
+        assert log == []  # not even created
+
+    @pytest.mark.parametrize(
+        "env, mu, g, mode, draws_per_round",
+        [
+            # State u reaches leaves a and b: one path draw per round.
+            (fx.skewed_environment(), fx.skewed_beliefs(), {"a": {"u": F(1), "v": F(-3)}},
+             FixedState("u"), 1),
+            # Two one-path states with mass: a state draw and a path draw.
+            (fx.nested_environment(), fx.drift_beliefs(), fx.nested_deterministic_book(),
+             Prior({"A": F(1, 2), "B": F(1, 2)}), 2),
+        ],
+        ids=["two-path-state", "two-state-prior"],
+    )
+    def test_other_replays_draw_as_before(self, monkeypatch, env, mu, g, mode, draws_per_round):
+        cfg = SimConfig(50, 4, mode)
+        reference = reference_run_rounds(env, mu, g, cfg)
+        monkeypatch.setattr("dutchbook.simulate.random", SimpleNamespace(Random=_NoDraws))
+        with pytest.raises(AssertionError, match="seeded a generator"):
+            run_rounds(env, mu, g, cfg)
+        log = []
+        monkeypatch.setattr(
+            "dutchbook.simulate.random", SimpleNamespace(Random=lambda: _RecordedDraws(log))
+        )
+        report = run_rounds(env, mu, g, cfg)
+        assert report == reference
+        assert repr(report) == repr(reference)
+        per_round = [[("seed", f"4:{i}")] + [("getrandbits", 64)] * draws_per_round
+                     for i in range(50)]
+        assert log == [("seed", None)] + [call for calls in per_round for call in calls]
+
+    @pytest.mark.parametrize(
+        "mode, g, rounds, message",
+        [
+            (FixedState("Z"), None, 10, "unknown state 'Z'"),
+            (Prior({"A": F(1), "Z": F(0)}), None, 10, "unknown state 'Z'"),
+            # The unknown state is reported before the payoff's overflow.
+            (Prior({"A": F(1), "Z": F(0)}), HUGE_A_BOOK, 1000, "unknown state 'Z'"),
+            (FixedState("A"), HUGE_A_BOOK, 1000,
+             "state 'A': a path payoff is too large for 1000 rounds of float squares"),
+            (Prior({"A": F(1)}), HUGE_A_BOOK, 1000,
+             "state 'A': a path payoff is too large for 1000 rounds of float squares"),
+        ],
+        ids=["fixed-unknown", "prior-unknown", "unknown-before-overflow", "fixed-overflow",
+             "prior-overflow"],
+    )
+    def test_errors_are_raised_as_before(self, mode, g, rounds, message):
+        with pytest.raises(DomainError) as info:
+            nested_run(mode, rounds=rounds, g=g)
+        assert str(info.value) == message
+
+    def test_huge_payoff_replays_one_round(self):
+        stats = nested_run(FixedState("A"), rounds=1, g=HUGE_A_BOOK).per_state["A"]
+        assert stats.count == 1
+        assert stats.empirical_mean_exact == F(10) ** 154 + 1
+        assert stats.sample_std_dev == 0.0
+
+    @pytest.mark.parametrize("state", ["A", "B", "C"])
+    def test_deviation_is_zero(self, state):
+        deviations = compare_to_exact(nested_run(FixedState(state)))
+        assert deviations == {state: 0.0}
+        assert flagged_states(deviations) == []
